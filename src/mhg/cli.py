@@ -3,8 +3,9 @@
 Exit status contract: 0 for a clean run or verdict, 1 when `verify` found a
 mismatch or `family witness` found a witness, 2 for usage or input errors
 (malformed graph JSON, non-admissible parameters where admissibility is
-required).  All --json output is serialized with sorted keys so identical
-inputs give byte-identical bytes.
+required), 3 for an internal error: any other exception, such as an engine
+disagreement or running out of memory.  All --json output is serialized
+with sorted keys so identical inputs give byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+import traceback
 
 from .completion import magic_complete
 from .families import classify_cycle, enumerate_forbidden, find_witness, is_forbidden
@@ -407,6 +409,10 @@ def main(argv=None) -> int:
     except (ValueError, BudgetExceededError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        traceback.print_exc()
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 def console_main() -> None:

@@ -11,11 +11,12 @@ homomorphically into it.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from typing import Iterator
 
-from .graphs import EdgeLabelledGraph, canonical_cycle, closed_walks_with_vertices
+from .graphs import EdgeLabelledGraph, canonical_cycle
 from .params import AdmissibilityCase, ParameterSequence
 
 Cycle = tuple[int, ...]
@@ -231,16 +232,50 @@ def _arrangements(ms: Cycle) -> set[Cycle]:
     return {canonical_cycle((ms[0],) + rest) for rest in _distinct_perms(ms[1:])}
 
 
-def enumerate_forbidden(p: ParameterSequence) -> list[Cycle]:
-    """Every obstruction cycle for p, canonical, sorted by length then labels."""
+def _forbidden_multisets(p: ParameterSequence) -> Iterator[Cycle]:
+    """Label multisets of the obstruction cycles, ascending tuples, by length."""
     tags = active_tags(p)
-    bound = walk_bound(p)
-    out: set[Cycle] = set()
-    for length in range(3, bound + 1):
+    for length in range(3, walk_bound(p) + 1):
         for ms in combinations_with_replacement(range(1, p.delta + 1), length):
             if any(_tag_holds(p, tag, ms) for tag in tags):
-                out |= _arrangements(ms)
+                yield ms
+
+
+def enumerate_forbidden(p: ParameterSequence) -> list[Cycle]:
+    """Every obstruction cycle for p, canonical, sorted by length then labels."""
+    out: set[Cycle] = set()
+    for ms in _forbidden_multisets(p):
+        out |= _arrangements(ms)
     return sorted(out, key=lambda c: (len(c), c))
+
+
+@functools.cache
+def _prefix_table(p: ParameterSequence) -> tuple[list[int], dict[int, tuple[set[int], set[int]]]]:
+    """Label weights and, per walk length L, the (prefixes, accepted) key sets.
+
+    A label multiset is keyed by its count vector read as digits in base
+    walk_bound(p) + 1, so adding label l adds weight[l].  accepted holds the
+    keys of the forbidden multisets of size L; prefixes holds every
+    sub-multiset of one of them, down to the empty multiset (key 0).
+    """
+    base = walk_bound(p) + 1
+    weight = [0] + [base ** (l - 1) for l in range(1, p.delta + 1)]
+    tables: dict[int, tuple[set[int], set[int]]] = {}
+    for ms in _forbidden_multisets(p):
+        accepted = tables.setdefault(len(ms), (set(), set()))[1]
+        accepted.add(sum(weight[l] for l in ms))
+    for prefixes, accepted in tables.values():
+        level = accepted
+        while level:
+            prefixes |= level
+            level = {
+                key - weight[l]
+                for key in level
+                for l in range(1, p.delta + 1)
+                if key // weight[l] % base
+            }
+        prefixes.add(0)
+    return weight, tables
 
 
 def find_witness(
@@ -251,14 +286,38 @@ def find_witness(
     Walks are scanned up to walk_bound(p) in (length, vertex sequence) order;
     the returned witness is the first qualifying decomposition of the walk's
     label cycle under a tag active for p.
+
+    Membership depends only on the label multiset, so at walk length L the
+    depth-first search extends a partial walk only while its labels form a
+    sub-multiset of some forbidden multiset of size L (a prefix of a rotation
+    or reflection of a forbidden word).  The pruned subtrees hold no
+    qualifying walk, so the first hit is the one a full scan would find.
     """
     if g.max_label() > p.delta:
         raise ValueError(f"graph labels exceed delta={p.delta}")
     tags = active_tags(p)
-    for verts, labels in closed_walks_with_vertices(g, walk_bound(p)):
-        if is_forbidden(p, labels):
-            for w in classify_cycle(p, labels):
-                if w.tag in tags:
-                    return verts, w
-            raise AssertionError("forbidden cycle without an active witness")
+    weight, tables = _prefix_table(p)
+    adj = g.adjacency()
+    nbrs = [sorted(a.items()) for a in adj]
+    for length in sorted(tables):
+        prefixes, accepted = tables[length]
+        stack = [((v,), 0) for v in reversed(range(g.n))]
+        while stack:
+            path, key = stack.pop()
+            last = path[-1]
+            if len(path) == length:
+                closing = adj[last].get(path[0])
+                if closing is not None and key + weight[closing] in accepted:
+                    labels = tuple(
+                        adj[path[i]][path[(i + 1) % length]] for i in range(length)
+                    )
+                    for w in classify_cycle(p, labels):
+                        if w.tag in tags:
+                            return path, w
+                    raise AssertionError("forbidden cycle without an active witness")
+                continue
+            for v, l in reversed(nbrs[last]):
+                ext = key + weight[l]
+                if ext in prefixes:
+                    stack.append((path + (v,), ext))
     return None

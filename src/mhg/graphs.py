@@ -95,7 +95,7 @@ class EdgeLabelledGraph:
         if not isinstance(obj, dict) or "n" not in obj:
             raise ValueError("graph object needs an \"n\" field")
         n = obj["n"]
-        if not isinstance(n, int):
+        if not isinstance(n, int) or isinstance(n, bool):
             raise ValueError("\"n\" must be an integer")
         edges = obj.get("edges", [])
         if not isinstance(edges, list):

@@ -70,23 +70,30 @@ def has_completion(
                 return False
         return True
 
-    def search(i: int) -> bool:
-        nonlocal nodes
+    # Explicit-stack depth-first search, so no blank count hits the recursion
+    # limit.  tried[i] counts the labels of `order` already tried at blank i;
+    # 0 means the search enters blank i afresh, which counts one node.
+    tried = [0] * len(blanks)
+    i = 0
+    while i >= 0:
         if i == len(blanks):
             return True
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(f"completion search exceeded budget {budget}")
+        if tried[i] == 0:
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError(f"completion search exceeded budget {budget}")
         u, v = blanks[i]
-        for l in order:
-            if fits(u, v, l):
-                labels[(u, v)] = l
-                if search(i + 1):
-                    return True
-                del labels[(u, v)]
-        return False
-
-    return search(0)
+        labels.pop((u, v), None)
+        while tried[i] < len(order) and not fits(u, v, order[tried[i]]):
+            tried[i] += 1
+        if tried[i] == len(order):
+            tried[i] = 0
+            i -= 1
+        else:
+            labels[(u, v)] = order[tried[i]]
+            tried[i] += 1
+            i += 1
+    return False
 
 
 @dataclass(frozen=True)
@@ -150,6 +157,8 @@ def verify_equivalence(
     """
     if n_max < 3:
         raise ValueError("n_max must be at least 3")
+    if sample is not None and sample < 1:
+        raise ValueError("sample must be at least 1")
     ctx = default_context(p, m)
     start = time.monotonic()
     rng = np.random.default_rng(seed)

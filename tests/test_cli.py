@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from mhg import cli
 from mhg.cli import main
 
 IIB = ["5", "3", "3", "16", "13"]
@@ -324,3 +325,25 @@ def test_verify_rejects_bad_n(capsys):
     code, _, err = run(capsys, ["verify", "--params", *III3, "--n-max", "2"])
     assert code == 2
     assert "n_max" in err
+
+
+@pytest.mark.parametrize("sample", ["0", "-1"])
+def test_verify_rejects_non_positive_sample(capsys, sample):
+    code, out, err = run(
+        capsys, ["verify", "--params", *III3, "--n-max", "4", "--sample", sample]
+    )
+    assert code == 2
+    assert out == ""
+    assert "sample" in err
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("engine disagreement"), MemoryError()])
+def test_internal_error_exit_code(capsys, monkeypatch, exc):
+    def boom(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_params_check", boom)
+    code, out, err = run(capsys, ["params", "check", *IIB])
+    assert code == 3
+    assert out == ""
+    assert f"internal error: {type(exc).__name__}" in err

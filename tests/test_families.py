@@ -1,4 +1,6 @@
-from itertools import combinations_with_replacement, product
+import functools
+import random
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -13,7 +15,7 @@ from mhg.families import (
     is_forbidden,
     walk_bound,
 )
-from mhg.graphs import EdgeLabelledGraph, canonical_cycle
+from mhg.graphs import EdgeLabelledGraph, canonical_cycle, closed_walks_with_vertices
 from mhg.params import ParameterSequence, enumerate_admissible
 
 P_IIB = ParameterSequence(5, 3, 3, 16, 13)  # C = 13, C' = 16
@@ -250,3 +252,61 @@ def test_find_witness_none_and_errors():
     assert find_witness(P_IIB, EdgeLabelledGraph(4)) is None
     with pytest.raises(ValueError):
         find_witness(P_IIB, EdgeLabelledGraph(3, [(0, 1, 6)]))
+
+
+@functools.cache
+def _forbidden_multiset(p: ParameterSequence, ms: tuple[int, ...]) -> bool:
+    return is_forbidden(p, ms)
+
+
+def walk_scan_witness(p: ParameterSequence, g: EdgeLabelledGraph):
+    """Reference for find_witness: test every closed walk up to walk_bound(p)
+    in (length, vertex sequence) order, with no pruning."""
+    tags = active_tags(p)
+    for verts, labels in closed_walks_with_vertices(g, walk_bound(p)):
+        if _forbidden_multiset(p, tuple(sorted(labels))):
+            return verts, next(w for w in classify_cycle(p, labels) if w.tag in tags)
+    return None
+
+
+def test_find_witness_matches_walk_scan_delta3_all_n4():
+    pairs = list(combinations(range(4), 2))
+    for p in enumerate_admissible(3):
+        free = 0
+        for labels in product(range(4), repeat=len(pairs)):
+            g = EdgeLabelledGraph(4, [(u, v, l) for (u, v), l in zip(pairs, labels) if l])
+            want = walk_scan_witness(p, g)
+            assert find_witness(p, g) == want, (p.as_tuple(), g)
+            free += want is None
+        # Both outcomes occur often enough for the comparison to mean something.
+        assert 0 < free < 4 ** len(pairs), p.as_tuple()
+
+
+def test_find_witness_matches_walk_scan_delta4_delta5_random():
+    """Random partial graphs on n <= 5; every other one is built around a
+    forbidden 4- or 5-cycle, so witnesses longer than a triangle occur."""
+    rng = random.Random(20180815)
+    free = 0
+    long_hits = 0
+    for p in enumerate_admissible(4) + enumerate_admissible(5):
+        words = [c for c in enumerate_forbidden(p) if 4 <= len(c) <= 5]
+        for i in range(4):
+            if i % 2 and words:
+                word = rng.choice(words)
+                n, density = len(word), 0.25
+            else:
+                word = ()
+                n, density = rng.randint(3, 5), 0.6
+            labels = {
+                (u, v): rng.randint(1, p.delta)
+                for u, v in combinations(range(n), 2)
+                if rng.random() < density
+            }
+            for j, l in enumerate(word):
+                labels[min(j, (j + 1) % n), max(j, (j + 1) % n)] = l
+            g = EdgeLabelledGraph(n, [(u, v, l) for (u, v), l in labels.items()])
+            want = walk_scan_witness(p, g)
+            assert find_witness(p, g) == want, (p.as_tuple(), g)
+            free += want is None
+            long_hits += want is not None and len(want[0]) > 3
+    assert free > 0 and long_hits > 0

@@ -74,6 +74,7 @@ def test_json_round_trip():
         {"n": 3, "edges": [[0, 1]]},
         {"n": 3, "edges": [[0, 1, "x"]]},
         {"n": 3, "edges": [[0, 5, 1]]},
+        {"n": True},  # JSON true is a Python int; it must not pass as n = 1
     ],
 )
 def test_from_json_rejects(obj):

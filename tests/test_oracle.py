@@ -38,6 +38,11 @@ def test_has_completion_budget():
         has_completion(P_IIB, EdgeLabelledGraph(6), budget=3)
 
 
+def test_has_completion_many_blanks():
+    # 1,035 blank pairs: the search must not be bounded by the recursion limit.
+    assert has_completion(ParameterSequence(3, 1, 3, 8, 9), EdgeLabelledGraph(46))
+
+
 def test_has_completion_rejects_large_labels():
     with pytest.raises(ValueError):
         has_completion(P_III3, EdgeLabelledGraph(3, [(0, 1, 4)]))
@@ -122,6 +127,12 @@ def test_verify_sampled_mode():
 def test_verify_rejects_small_n():
     with pytest.raises(ValueError):
         verify_equivalence(P_III3, 2)
+
+
+@pytest.mark.parametrize("sample", [0, -1])
+def test_verify_rejects_non_positive_sample(sample):
+    with pytest.raises(ValueError, match="sample"):
+        verify_equivalence(P_III3, 4, sample=sample)
 
 
 def test_verify_threads_agree():
