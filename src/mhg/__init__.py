@@ -25,10 +25,8 @@ from .graphs import (
     TriangleVerdict,
     TriangleViolation,
     canonical_cycle,
-    closed_walks,
     first_violating_triangle,
     is_member,
-    perimeter,
     triangle_verdict,
 )
 from .magic import (
@@ -80,7 +78,6 @@ __all__ = [
     "classify",
     "classify_1d",
     "classify_cycle",
-    "closed_walks",
     "default_context",
     "enumerate_admissible",
     "enumerate_forbidden",
@@ -97,7 +94,6 @@ __all__ = [
     "magic_complete",
     "magic_distances",
     "magic_permutation",
-    "perimeter",
     "render_table",
     "steps",
     "time_value",

@@ -63,9 +63,10 @@ def cmd_params_check(args) -> int:
         "case": case.value,
     }
     if obj["acceptable"]:
-        obj["c"] = min(c0, c1)
-        obj["c_prime"] = max(c0, c1)
-        obj["admissible"] = case.value in ("IIA", "IIB", "III")
+        p = ParameterSequence(*args.params)
+        obj["c"] = p.c
+        obj["c_prime"] = p.c_prime
+        obj["admissible"] = p.is_admissible
     print(_dumps(obj))
     return 0
 
@@ -235,7 +236,6 @@ def cmd_verify(args) -> int:
         seed=args.seed,
         m=args.m,
         budget=args.budget,
-        threads=args.threads,
     )
     if args.json:
         print(_dumps(report.to_json_obj()))
@@ -374,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--m", type=int, default=None, help="magic distance override")
     verify.add_argument("--budget", type=int, default=10**9)
-    verify.add_argument("--threads", type=int, default=1)
     _add_json(verify)
     verify.set_defaults(func=cmd_verify)
 

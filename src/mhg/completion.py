@@ -12,7 +12,7 @@ fork is the first thing the algorithm would collapse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graphs import EdgeLabelledGraph, Pair, canonical_cycle
 from .magic import MagicContext

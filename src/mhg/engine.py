@@ -14,7 +14,6 @@ treats any disagreement as an internal error rather than a finding.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations, product
 
 import numpy as np
@@ -145,7 +144,7 @@ class Engine:
             ok &= self.allowed3[full_rows[:, q1], full_rows[:, q2], full_rows[:, q3]]
         return ok
 
-    def obstruction_batch(self, rows: np.ndarray, threads: int = 1) -> np.ndarray:
+    def obstruction_batch(self, rows: np.ndarray) -> np.ndarray:
         """True where the partial graph contains an obstruction cycle, found
         as a forbidden triangle or as a closed walk tracing a longer word."""
         bad = np.zeros(rows.shape[0], dtype=bool)
@@ -153,14 +152,7 @@ class Engine:
             bad |= self.forb3[rows[:, q1], rows[:, q2], rows[:, q3]]
         rest = np.flatnonzero(~bad)
         if self.words and rest.size:
-            if threads > 1 and rest.size >= 2048:
-                chunks = np.array_split(rest, threads)
-                with ThreadPoolExecutor(max_workers=threads) as ex:
-                    hits = list(ex.map(lambda c: self._word_scan(rows[c]), chunks))
-                for c, h in zip(chunks, hits):
-                    bad[c[h]] = True
-            else:
-                bad[rest[self._word_scan(rows[rest])]] = True
+            bad[rest[self._word_scan(rows[rest])]] = True
         return bad
 
     def _word_scan(self, rows: np.ndarray) -> np.ndarray:

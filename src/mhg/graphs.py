@@ -129,10 +129,6 @@ def canonical_cycle(labels) -> tuple[int, ...]:
     return best
 
 
-def perimeter(labels) -> int:
-    return sum(labels)
-
-
 class TriangleViolation(enum.Enum):
     NON_METRIC = "NonMetric"
     K1_LOW = "K1Low"
@@ -232,9 +228,3 @@ def closed_walks_with_vertices(
             for w in reversed(nbrs[path[-1]]):
                 stack.append(path + (w,))
     return
-
-
-def closed_walks(g: EdgeLabelledGraph, max_len: int) -> Iterator[tuple[int, ...]]:
-    """Label sequences of all closed walks of length 3..max_len."""
-    for _, labels in closed_walks_with_vertices(g, max_len):
-        yield labels

@@ -1,11 +1,12 @@
 """Cycles with edge lengths 1 and delta only: cell families and tables.
 
 A cell (i, j) stands for every cycle with i edges of length delta and j
-edges of length 1.  Whether such cycles are forbidden depends only on
-(i, j); the tag says which family bound fires.  Families partition by i:
-i = 0 is the K1 bound, i = 1 non-metric, even i >= 2 the K2 bound and odd
-i >= 3 the C bound (split into C0/C1 when C' > C + 1, plus the single
-special pentagon cell at (5, 0) for delta = 5 in case IIB).
+edges of length 1, that is the label multiset {delta^i, 1^j}.  Cells are
+read off the family inequalities in `families`: the tag of a cell is the
+active family that forbids its multiset.  The families partition the
+cells by i: i = 0 is the K1 bound, i = 1 non-metric, even i >= 2 the K2
+bound and odd i >= 3 the C bound (split into C0/C1 when C' > C + 1, plus
+the single special pentagon cell at (5, 0) for delta = 5 in case IIB).
 
 Two parameter tuples form a twisted pair when the cell positions of one
 table are exactly the transpose of the other's.
@@ -15,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .families import FamilyTag
-from .params import AdmissibilityCase, ParameterSequence
+from .families import FamilyTag, _tag_holds, active_tags
+from .params import ParameterSequence
 
 TAG_SYMBOLS = {
     FamilyTag.K1_CYCLE: "K1",
@@ -34,30 +35,16 @@ STAIRCASE = "·"
 def classify_1d(p: ParameterSequence, i: int, j: int) -> FamilyTag | None:
     """Tag of cell (i, j), or None when such cycles are not forbidden.
 
-    Pairs with i + j < 3 are not cycles and give None.
+    The tag is the first active family, in FamilyTag declaration order,
+    whose inequality holds on {delta^i, 1^j}; on these multisets at most one
+    active family holds, so the order only fixes the rule.  Pairs with
+    i + j < 3 are not cycles and give None.
     """
-    if not p.is_admissible:
-        raise ValueError(f"parameters {p} are not admissible")
+    tags = active_tags(p)
     if i < 0 or j < 0 or i + j < 3:
         return None
-    d, c = p.delta, p.c
-    if i == 0:
-        return FamilyTag.K1_CYCLE if j % 2 == 1 and j < 2 * p.k1 else None
-    if i == 1:
-        return FamilyTag.NON_METRIC if j < d else None
-    if i % 2 == 0:
-        if j % 2 == 1 and 2 * j < 2 * c - 4 * p.k2 - 2 - (c - 1 - 2 * d) * i:
-            return FamilyTag.K2_CYCLE
-        return None
-    if p.c_prime == p.c + 1:
-        return FamilyTag.C_CYCLE if 2 * j < c - 1 - (c - 1 - 2 * d) * i else None
-    if i == 3:
-        if (d + j) % 2 == 0:
-            return FamilyTag.C0_CYCLE if 2 * j < p.c0 - 1 - (p.c0 - 1 - 2 * d) * 3 else None
-        return FamilyTag.C1_CYCLE if 2 * j < p.c1 - 1 - (p.c1 - 1 - 2 * d) * 3 else None
-    if i == 5 and j == 0 and d == 5 and p.case is AdmissibilityCase.CASE_IIB:
-        return FamilyTag.SPECIAL_5
-    return None
+    labels = (p.delta,) * i + (1,) * j
+    return next((t for t in FamilyTag if t in tags and _tag_holds(p, t, labels)), None)
 
 
 @dataclass(frozen=True)

@@ -40,13 +40,11 @@ def has_completion(
     p: ParameterSequence,
     g: EdgeLabelledGraph,
     budget: int = 10**9,
-    prefer: int | None = None,
 ) -> bool:
     """Depth-first search for a filling of the blank pairs such that every
     triangle of the resulting complete graph is allowed.
 
-    budget caps the number of search nodes.  prefer, when given, is the label
-    tried first at each blank pair.
+    budget caps the number of search nodes.
     """
     if g.max_label() > p.delta:
         raise ValueError(f"graph labels exceed delta={p.delta}")
@@ -55,9 +53,6 @@ def has_completion(
     blanks = g.non_edges()
     labels = g.labels
     order = list(range(1, p.delta + 1))
-    if prefer is not None and prefer in order:
-        order.remove(prefer)
-        order.insert(0, prefer)
     nodes = 0
 
     def fits(u: int, v: int, l: int) -> bool:
@@ -149,7 +144,6 @@ def verify_equivalence(
     seed: int = 0,
     m: int | None = None,
     budget: int = 10**9,
-    threads: int = 1,
 ) -> EquivalenceReport:
     """Check search = witness-free = magic success over graphs on up to n_max
     vertices (exhaustive), or over `sample` uniform labellings on exactly
@@ -183,7 +177,7 @@ def verify_equivalence(
         orc = completable[idx]
         filled, fb = eng.complete_batch(rows)
         magic_ok = eng.member_batch(filled)
-        wit_free = ~eng.obstruction_batch(rows, threads=threads)
+        wit_free = ~eng.obstruction_batch(rows)
         checked += int(idx.size)
 
         fb_any = fb.any(axis=1)

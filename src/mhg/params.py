@@ -20,6 +20,11 @@ class AdmissibilityCase(enum.Enum):
     CASE_III = "III"
 
 
+ADMISSIBLE_CASES = frozenset(
+    {AdmissibilityCase.CASE_IIA, AdmissibilityCase.CASE_IIB, AdmissibilityCase.CASE_III}
+)
+
+
 def is_acceptable(delta: int, k1: int, k2: int, c0: int, c1: int) -> bool:
     """Range and parity constraints: finite delta >= 3, 1 <= K1 <= K2 <= delta,
     2*delta+2 <= C0, C1 <= 3*delta+2 with C0 even and C1 odd."""
@@ -88,11 +93,7 @@ class ParameterSequence:
 
     @property
     def is_admissible(self) -> bool:
-        return self.case in (
-            AdmissibilityCase.CASE_IIA,
-            AdmissibilityCase.CASE_IIB,
-            AdmissibilityCase.CASE_III,
-        )
+        return self.case in ADMISSIBLE_CASES
 
     def as_tuple(self) -> tuple[int, int, int, int, int]:
         return (self.delta, self.k1, self.k2, self.c0, self.c1)
@@ -110,10 +111,6 @@ def enumerate_admissible(delta: int) -> list[ParameterSequence]:
                 if c0 % 2:
                     continue
                 for c1 in range(2 * delta + 3, 3 * delta + 3, 2):
-                    if classify(delta, k1, k2, c0, c1) in (
-                        AdmissibilityCase.CASE_IIA,
-                        AdmissibilityCase.CASE_IIB,
-                        AdmissibilityCase.CASE_III,
-                    ):
+                    if classify(delta, k1, k2, c0, c1) in ADMISSIBLE_CASES:
                         out.append(ParameterSequence(delta, k1, k2, c0, c1))
     return out

@@ -319,6 +319,7 @@ def test_usage_error_exit_code(capsys):
     assert main(["params"]) == 2
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
+    assert main(["verify", "--params", *III3, "--n-max", "3", "--threads", "2"]) == 2
 
 
 def test_verify_rejects_bad_n(capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from mhg.families import FamilyTag, active_tags, classify_cycle, is_forbidden
+from mhg.families import FamilyTag, _tag_holds, active_tags, classify_cycle, is_forbidden
 from mhg.onedelta import (
     STAIRCASE,
     TAG_SYMBOLS,
@@ -79,7 +79,8 @@ def test_classify_1d_rejects_non_admissible():
 
 def test_cells_match_multiset_membership():
     """A cell fires exactly when the corresponding label multiset is in the
-    obstruction set, and its tag is one of the firing families."""
+    obstruction set, its tag is one of the firing families, and no second
+    active family fires, so the tag does not hang on the tie-break order."""
     for delta in range(3, 7):
         for p in enumerate_admissible(delta):
             cap = 3 * delta + 3
@@ -92,19 +93,32 @@ def test_cells_match_multiset_membership():
                     ms = (delta,) * i + (1,) * j
                     tag = classify_1d(p, i, j)
                     assert (tag is not None) == is_forbidden(p, ms), (p, i, j)
+                    assert sum(_tag_holds(p, t, ms) for t in tags) <= 1, (p, i, j)
                     if tag is not None and i + j <= 12:
                         assert tag in tags
                         assert tag in {w.tag for w in classify_cycle(p, ms)}
 
 
 def test_cell_invariants():
-    """Cells step down by 2 in each coordinate, and never have both counts
-    even (an even perimeter of 1s and deltas is either metric or a smaller
-    even case already caught)."""
+    """Cells step down by 2 in each coordinate, never have both counts even
+    (an even perimeter of 1s and deltas is either metric or a smaller even
+    case already caught), and their families partition by i: K1 at i = 0,
+    non-metric at i = 1, K2 at even i >= 2, a C family at odd i >= 3."""
+    c_tags = {FamilyTag.C_CYCLE, FamilyTag.C0_CYCLE, FamilyTag.C1_CYCLE}
     for delta in range(3, 9):
         for p in enumerate_admissible(delta):
-            pos = render_table(p).positions
-            for i, j in pos:
+            cells = render_table(p).cell_map
+            pos = set(cells)
+            for (i, j), tag in cells.items():
+                if i == 0:
+                    assert tag is FamilyTag.K1_CYCLE, (p, i, j)
+                elif i == 1:
+                    assert tag is FamilyTag.NON_METRIC, (p, i, j)
+                elif i % 2 == 0:
+                    assert tag is FamilyTag.K2_CYCLE, (p, i, j)
+                else:
+                    special = (i, j) == (5, 0) and tag is FamilyTag.SPECIAL_5
+                    assert tag in c_tags or special, (p, i, j)
                 assert not (i % 2 == 0 and j % 2 == 0), (p, i, j)
                 if i - 2 >= 0 and (i - 2) + j >= 3:
                     assert (i - 2, j) in pos, (p, i, j)
