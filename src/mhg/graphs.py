@@ -151,31 +151,37 @@ class TriangleVerdict:
         return sum(self.labels)
 
 
-def triangle_verdict(p: ParameterSequence, a: int, b: int, c: int) -> TriangleVerdict:
-    """Constraint check for one triangle.
+def triangle_violations(p: ParameterSequence, a, b, c):
+    """(violation, condition) pairs for a triangle with labels a, b, c.
 
     Odd perimeter q with shortest edge m requires 2K1 < q < 2K2 + 2m and
     q < C1; even perimeter requires q < C0; and the triangle inequality must
-    hold either way.
+    hold either way.  Written with comparisons and & / | only, so a, b, c may
+    be ints (each condition is a bool) or integer numpy arrays (each is a
+    bool array); labels are not range-checked here.
     """
+    q = a + b + c
+    odd = q % 2 == 1
+    even = q % 2 == 0
+    # q >= 2K2 + 2m holds for the shortest edge m exactly when it holds for
+    # some edge, so no min is needed.
+    k2_high = (q >= 2 * p.k2 + 2 * a) | (q >= 2 * p.k2 + 2 * b) | (q >= 2 * p.k2 + 2 * c)
+    return (
+        (TriangleViolation.NON_METRIC, (a > b + c) | (b > a + c) | (c > a + b)),
+        (TriangleViolation.K1_LOW, odd & (q <= 2 * p.k1)),
+        (TriangleViolation.K2_HIGH, odd & k2_high),
+        (TriangleViolation.C1_HIGH, odd & (q >= p.c1)),
+        (TriangleViolation.C0_HIGH, even & (q >= p.c0)),
+    )
+
+
+def triangle_verdict(p: ParameterSequence, a: int, b: int, c: int) -> TriangleVerdict:
+    """Constraint check for one triangle; the rule is triangle_violations."""
     for l in (a, b, c):
         if not 1 <= l <= p.delta:
             raise ValueError(f"label {l} out of range 1..{p.delta}")
-    q = a + b + c
-    m = min(a, b, c)
-    bad = set()
-    if 2 * max(a, b, c) > q:
-        bad.add(TriangleViolation.NON_METRIC)
-    if q % 2:
-        if q <= 2 * p.k1:
-            bad.add(TriangleViolation.K1_LOW)
-        if q >= 2 * p.k2 + 2 * m:
-            bad.add(TriangleViolation.K2_HIGH)
-        if q >= p.c1:
-            bad.add(TriangleViolation.C1_HIGH)
-    elif q >= p.c0:
-        bad.add(TriangleViolation.C0_HIGH)
-    return TriangleVerdict((a, b, c), frozenset(bad))
+    bad = frozenset(v for v, hit in triangle_violations(p, a, b, c) if hit)
+    return TriangleVerdict((a, b, c), bad)
 
 
 def first_violating_triangle(
@@ -192,13 +198,14 @@ def first_violating_triangle(
     return None
 
 
-def is_member(p: ParameterSequence, g: EdgeLabelledGraph) -> bool:
-    """Complete, labels within 1..delta, and every triangle constraint holds."""
-    if not g.is_complete():
-        return False
-    if g.max_label() > p.delta:
-        return False
-    return first_violating_triangle(p, g) is None
+def is_member(p: ParameterSequence, g: EdgeLabelledGraph, scan=first_violating_triangle) -> bool:
+    """Complete, labels within 1..delta, and every triangle constraint holds.
+
+    scan(p, g) returns g's first violating triangle or None, and runs only
+    when the first two conditions hold; engine.first_violating_graph gives
+    the same answer as the default.
+    """
+    return g.is_complete() and g.max_label() <= p.delta and scan(p, g) is None
 
 
 def closed_walks_with_vertices(

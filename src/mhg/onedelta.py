@@ -15,6 +15,7 @@ table are exactly the transpose of the other's.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .families import FamilyTag, _tag_holds, active_tags
 from .params import ParameterSequence
@@ -110,9 +111,11 @@ class OneDeltaTable:
         }
 
 
+@cache
 def render_table(p: ParameterSequence) -> OneDeltaTable:
     """Sweep the cell grid; the family inequalities cannot fire beyond
-    3*delta + 3 in either coordinate."""
+    3*delta + 3 in either coordinate.  Cached: both the tuple and the
+    table are frozen."""
     cap = 3 * p.delta + 3
     cells = []
     for i in range(cap + 1):

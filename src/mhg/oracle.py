@@ -18,10 +18,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from .completion import magic_complete
-from .engine import Engine
 from .families import find_witness
 from .graphs import EdgeLabelledGraph, first_violating_triangle, is_member, triangle_verdict
 from .magic import default_context
@@ -153,6 +150,12 @@ def verify_equivalence(
         raise ValueError("n_max must be at least 3")
     if sample is not None and sample < 1:
         raise ValueError("sample must be at least 1")
+    # numpy loads here, not at import: the CLI commands that never verify
+    # start without it.
+    import numpy as np
+
+    from .engine import Engine
+
     ctx = default_context(p, m)
     start = time.monotonic()
     rng = np.random.default_rng(seed)
@@ -225,6 +228,8 @@ def verify_equivalence(
 def _spot_check(eng, rows, orc, filled, fb, magic_ok, wit_free, rng, budget, spot) -> None:
     """Scalar reference vs vectorized result over random rows, same route on
     both sides; any disagreement is an internal error, never a finding."""
+    import numpy as np
+
     total = rows.shape[0]
     p = eng.p
 

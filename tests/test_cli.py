@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from mhg import cli
 from mhg.cli import main
+from mhg.completion import magic_complete
+from mhg.graphs import EdgeLabelledGraph, is_member
+from mhg.magic import default_context
+from mhg.params import ParameterSequence
 
 IIB = ["5", "3", "3", "16", "13"]
 III3 = ["3", "1", "3", "10", "9"]
@@ -177,6 +184,34 @@ def test_complete_plain(capsys, triangle):
     assert obj == {"n": 3, "edges": [[0, 1, 3], [0, 2, 3], [1, 2, 3]]}
 
 
+WIDE = ["300", "300", "300", "902", "901"]  # case III, magic distance 300
+
+
+def test_complete_and_check_wide_delta(capsys, tmp_path):
+    """delta = 300: labels and the magic distance overflow uint8, and the
+    output matches the scalar references."""
+    g = EdgeLabelledGraph(6, [(0, 1, 3), (1, 2, 300), (2, 3, 299), (3, 4, 1), (4, 5, 150), (5, 0, 7)])
+    path = tmp_path / "wide.json"
+    path.write_text(g.dumps())
+    p = ParameterSequence(*map(int, WIDE))
+    done, trace = magic_complete(default_context(p), g)
+    code, out, _ = run(capsys, ["complete", str(path), "--params", *WIDE, "--trace"])
+    assert code == 0
+    assert json.loads(out) == {"graph": done.to_json_obj(), "m": 300, "trace": trace.to_json_obj()}
+    path.write_text(done.dumps())
+    code, out, _ = run(capsys, ["graph", "check", str(path), "--params", *WIDE, "--json"])
+    assert code == 0
+    assert is_member(p, done) and json.loads(out)["member"] is True
+    # 256 would read as a blank pair in uint8; the odd perimeter 513 is at
+    # most 2 K1 = 600.
+    path.write_text(json.dumps({"n": 3, "edges": [[0, 1, 256], [0, 2, 256], [1, 2, 1]]}))
+    code, out, _ = run(capsys, ["graph", "check", str(path), "--params", *WIDE, "--json"])
+    assert code == 0
+    assert json.loads(out)["violating_triangle"] == {
+        "vertices": [0, 1, 2], "labels": [256, 256, 1], "violations": ["K1Low"]
+    }
+
+
 def test_family_classify(capsys):
     code, out, _ = run(
         capsys, ["family", "classify", "--params", *IIB, "--cycle", "5,5,5,5,5", "--json"]
@@ -348,3 +383,41 @@ def test_internal_error_exit_code(capsys, monkeypatch, exc):
     assert code == 3
     assert out == ""
     assert f"internal error: {type(exc).__name__}" in err
+
+
+def _run_mhg(args, timeout):
+    """`python -m mhg ARGS` in a fresh process, src/ on the path."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join([src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
+@pytest.mark.parametrize("command", [["graph", "check"], ["complete"]], ids=["graph-check", "complete"])
+def test_huge_n_refused(tmp_path, command):
+    """A 27-byte input with n far above the cap exits 2 at once, before any
+    n-by-n allocation or O(n^3) scan."""
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 100000, "edges": []}')
+    proc = _run_mhg(["-m", "mhg", *command, str(path), "--params", *IIB], timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "vertices" in proc.stderr
+
+
+def test_cli_does_not_import_numpy():
+    code = (
+        "import sys\n"
+        "import mhg.cli\n"
+        "assert 'numpy' not in sys.modules, 'import mhg.cli'\n"
+        "assert 'mhg.oracle' in sys.modules\n"
+        "assert mhg.cli.main(['params', 'check', '5', '3', '3', '16', '13']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'params check'\n"
+    )
+    proc = _run_mhg(["-c", code], timeout=60)
+    assert proc.returncode == 0, proc.stderr

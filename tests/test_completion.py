@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from conftest import MATRIX_TUPLES, WIDE_TUPLES, random_graph
 
 from mhg.completion import (
     CompletionTrace,
@@ -8,8 +11,9 @@ from mhg.completion import (
     magic_complete,
     steps,
 )
+from mhg.engine import MAX_MATRIX_N, complete_graph
 from mhg.graphs import EdgeLabelledGraph, canonical_cycle, is_member
-from mhg.magic import default_context
+from mhg.magic import MagicContext, default_context, magic_distances
 from mhg.params import ParameterSequence
 
 CTX = default_context(ParameterSequence(5, 3, 3, 16, 13))  # M = 3, C = 13
@@ -125,3 +129,48 @@ def test_has_tension():
     assert has_tension(CTX, (1, 1, 5, 5))
     with pytest.raises(ValueError):
         has_tension(CTX, (1, 2))
+
+
+@pytest.mark.parametrize("p", MATRIX_TUPLES, ids=str)
+def test_complete_graph_matches_magic_complete(p):
+    """The label-matrix completion gives the reference's graph, stages and
+    fallback pairs, for every magic distance of the tuple.  Sparse graphs
+    leave pairs no fork reaches, so the fallback is exercised too."""
+    rng = random.Random(f"complete {p}")
+    for m in magic_distances(p):
+        ctx = MagicContext(p, m)
+        labels = range(1, p.delta + 1)
+        graphs = [cycle_graph([rng.choice(labels) for _ in range(60)])]
+        graphs.append(random_graph(rng, 40, 0.05, labels))
+        for _ in range(12):
+            n = rng.randint(1, 12)
+            graphs.append(random_graph(rng, n, rng.choice((0.1, 0.3, 0.6, 1.0)), labels))
+        for g in graphs:
+            assert complete_graph(ctx, g) == magic_complete(ctx, g), g
+
+
+@pytest.mark.parametrize("p", WIDE_TUPLES, ids=str)
+def test_complete_graph_matches_magic_complete_wide_delta(p):
+    """Labels and magic distance above 255: the (+) table and the matrix
+    must not wrap around.  Labels come from all of 1..delta, and from a
+    handful of values, so that forks repeat and many pairs fill."""
+    rng = random.Random(f"complete wide {p}")
+    ctx = default_context(p)
+    few = [1, 2, p.delta // 2, ctx.m, p.delta - 1, p.delta]
+    for labels in (range(1, p.delta + 1), few):
+        graphs = [cycle_graph([rng.choice(labels) for _ in range(16)])]
+        for _ in range(8):
+            n = rng.randint(1, 10)
+            graphs.append(random_graph(rng, n, rng.choice((0.2, 0.5, 1.0)), labels))
+        for g in graphs:
+            assert complete_graph(ctx, g) == magic_complete(ctx, g), g
+
+
+def test_complete_graph_rejects_what_the_reference_rejects():
+    big = EdgeLabelledGraph(3, [(0, 1, 6)])
+    with pytest.raises(ValueError) as ref:
+        magic_complete(CTX, big)
+    with pytest.raises(ValueError, match=str(ref.value)):
+        complete_graph(CTX, big)
+    with pytest.raises(ValueError, match="vertices"):
+        complete_graph(CTX, EdgeLabelledGraph(MAX_MATRIX_N + 1))

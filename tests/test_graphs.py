@@ -1,7 +1,11 @@
 import json
+import random
 
 import pytest
+from conftest import MATRIX_TUPLES, WIDE_TUPLES, random_graph
 
+from mhg.completion import magic_complete
+from mhg.engine import first_violating_graph
 from mhg.graphs import (
     EdgeLabelledGraph,
     TriangleViolation,
@@ -11,6 +15,7 @@ from mhg.graphs import (
     is_member,
     triangle_verdict,
 )
+from mhg.magic import default_context
 from mhg.params import ParameterSequence
 
 P = ParameterSequence(5, 3, 3, 16, 13)
@@ -174,3 +179,57 @@ def test_closed_walks_cover_path_triangles():
     assert list(closed_walks_with_vertices(g, 3)) == []
     walks = [labels for _, labels in closed_walks_with_vertices(g, 4)]
     assert (2, 2, 3, 3) in walks
+
+
+def outcome(fn, p, g):
+    """fn's result, or the text of the ValueError it raises."""
+    try:
+        return fn(p, g)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+def assert_same_scan(p, g):
+    got = outcome(first_violating_graph, p, g)
+    assert got == outcome(first_violating_triangle, p, g), g
+    if not isinstance(got, str):
+        assert is_member(p, g, scan=first_violating_graph) == is_member(p, g), g
+
+
+@pytest.mark.parametrize("p", MATRIX_TUPLES, ids=str)
+def test_first_violating_graph_matches_reference(p):
+    """Same first triple and verdict as the scalar scan, on completed
+    graphs (most are members, so the whole graph is scanned) and on
+    random partial ones (most have a violating triangle)."""
+    rng = random.Random(f"scan {p}")
+    ctx = default_context(p)
+    labels = list(range(1, p.delta + 1))
+    for n in (1, 2, 3, 4, 5, 8, 12, 20, 35, 60):
+        sparse = random_graph(rng, n, 0.08, labels)
+        assert_same_scan(p, magic_complete(ctx, sparse)[0])
+        assert_same_scan(p, random_graph(rng, n, rng.choice((0.3, 0.7, 1.0)), labels))
+
+
+@pytest.mark.parametrize("big", [6, 257, 10**12])
+def test_first_violating_graph_out_of_range_labels(big):
+    """Labels above delta = 5 raise the reference's ValueError exactly when
+    the reference meets them first; a violation found earlier wins.  257
+    and 10**12 would wrap around in uint8 if not clipped."""
+    rng = random.Random(f"big {big}")
+    for _ in range(150):
+        n = rng.randint(3, 14)
+        g = random_graph(rng, n, rng.choice((0.5, 0.8, 1.0)), [1, 2, 3, 4, 5, big])
+        assert_same_scan(P, g)
+
+
+@pytest.mark.parametrize("p", WIDE_TUPLES, ids=str)
+def test_first_violating_graph_wide_delta(p):
+    """delta above 255: labels near delta, and delta + 1 and 10**12 beyond
+    it, must neither wrap around nor be mistaken for one another."""
+    rng = random.Random(f"scan wide {p}")
+    ctx = default_context(p)
+    few = [1, 2, p.delta // 2, ctx.m, p.delta - 1, p.delta]
+    for n in (3, 4, 6, 10, 16, 25):
+        assert_same_scan(p, magic_complete(ctx, random_graph(rng, n, 0.15, few))[0])
+        for labels in (few, few + [p.delta + 1], few + [10**12]):
+            assert_same_scan(p, random_graph(rng, n, rng.choice((0.5, 1.0)), labels))
