@@ -244,6 +244,8 @@ def cmd_verify(args) -> int:
         m=args.m,
         budget=args.budget,
     )
+    if args.stats:
+        print(f"stats {_dumps(report.stats)}", file=sys.stderr)
     if args.json:
         print(_dumps(report.to_json_obj()))
     else:
@@ -381,6 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--m", type=int, default=None, help="magic distance override")
     verify.add_argument("--budget", type=int, default=10**9)
+    verify.add_argument(
+        "--stats", action="store_true", help="print per-layer seconds and counters to stderr"
+    )
     _add_json(verify)
     verify.set_defaults(func=cmd_verify)
 

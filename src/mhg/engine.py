@@ -4,8 +4,12 @@ Labellings of the complete graph on n vertices live on a lattice with one
 axis per vertex pair and base delta + 1; digit 0 marks a blank pair.  The
 completability transform computes, for every point of the lattice at once,
 whether some filling of the blanks yields a graph all of whose triangles are
-allowed.  Batched counterparts of the magic completion and of the obstruction
-scan operate on arrays of lattice rows.  complete_graph and
+allowed.  Batched counterparts of the magic completion, of membership and of
+the obstruction scan operate on uint8 arrays of lattice rows.  Each is a
+gather through an index array built once per Engine (the two partner pairs
+of every pair and third vertex; the three pairs of every triangle), a lookup
+of the gathered labels in a flattened table, and one reduce; the verifier
+streams a lattice through them in fixed-size chunks.  complete_graph and
 first_violating_graph run the same two routes on one graph held as an
 (n, n) label matrix, for graphs too large for the pure-Python references.
 
@@ -42,7 +46,9 @@ def _oplus_table(ctx: MagicContext, labels) -> np.ndarray:
 
 
 class Engine:
-    """Tables and batch operations for one parameter context and one n."""
+    """Tables and batch operations for one parameter context and one n.
+    Rows are uint8 arrays of shape (B, P), one column per vertex pair in
+    lexicographic order."""
 
     def __init__(self, ctx: MagicContext, n: int):
         if n < 3:
@@ -54,13 +60,26 @@ class Engine:
         self.pairs: list[tuple[int, int]] = list(combinations(range(n), 2))
         self.P = len(self.pairs)
         self.pair_index = {pr: q for q, pr in enumerate(self.pairs)}
+
+        def pair(a: int, b: int) -> int:
+            return self.pair_index[(min(a, b), max(a, b))]
+
+        # partners[q, k] = the pairs (u, z), (v, z) for pair q = (u, v) and
+        # its k-th third vertex z, in increasing z.
+        self.partners = np.array(
+            [[(pair(u, z), pair(v, z)) for z in range(n) if z != u and z != v] for u, v in self.pairs],
+            dtype=np.intp,
+        )
         # Pair indices of each triangle come out sorted because the pair list
         # is lexicographic; the reshape in completable_lattice relies on that.
-        self.triangles = [
-            (self.pair_index[(i, j)], self.pair_index[(i, k)], self.pair_index[(j, k)])
-            for i, j, k in combinations(range(n), 3)
-        ]
+        self.triangles = np.array(
+            [(pair(i, j), pair(i, k), pair(j, k)) for i, j, k in combinations(range(n), 3)],
+            dtype=np.intp,
+        )
         self.size = self.base**self.P
+        # Codes a*base + b and (a*base + b)*base + c of labels below base
+        # stay below base**3, so this dtype never wraps.
+        self.code_dtype = np.min_scalar_type(self.base**3)
         self.allowed3 = self._allowed_table()
         self.forb3 = self._forbidden_table()
         self.opl = _oplus_table(ctx, range(self.base))
@@ -83,9 +102,15 @@ class Engine:
         return arr
 
     def decode(self, idx: np.ndarray) -> np.ndarray:
-        """Lattice indices to label rows of shape (B, P), dtype uint8."""
-        digits = np.unravel_index(np.asarray(idx, dtype=np.int64), (self.base,) * self.P)
-        return np.stack(digits, axis=-1).astype(np.uint8)
+        """Lattice indices to label rows of shape (B, P), dtype uint8: the
+        last pair is the fastest-varying digit."""
+        rest = np.array(idx, dtype=np.int64).reshape(-1)
+        digit = np.empty_like(rest)
+        rows = np.empty((rest.size, self.P), dtype=np.uint8)
+        for q in range(self.P - 1, -1, -1):
+            np.divmod(rest, self.base, out=(rest, digit))
+            rows[:, q] = digit
+        return rows
 
     def encode(self, rows: np.ndarray) -> np.ndarray:
         cols = tuple(rows[:, q].astype(np.int64) for q in range(self.P))
@@ -112,7 +137,7 @@ class Engine:
         axis ORs its blank slice over the labelled ones."""
         shape = (self.base,) * self.P
         H = np.ones(shape, dtype=bool)
-        for q1, q2, q3 in self.triangles:
+        for q1, q2, q3 in self.triangles.tolist():
             view = [1] * self.P
             view[q1] = view[q2] = view[q3] = self.base
             H &= self.allowed3.reshape(view)
@@ -123,44 +148,45 @@ class Engine:
             np.any(v[1:], axis=0, out=v[0])
         return H.reshape(-1)
 
+    def _codes(self, labels: np.ndarray) -> np.ndarray:
+        """Pack the last axis of a gathered label array into one code per
+        entry, most significant label first: the flat index of that label
+        tuple in opl, allowed3 or forb3."""
+        labels = labels.astype(self.code_dtype, copy=False)
+        code = labels[..., 0]
+        for k in range(1, labels.shape[-1]):
+            code = code * self.base + labels[..., k]
+        return code
+
     def complete_batch(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Magic completion of each row.  Returns (completed rows, mask of
-        pairs filled by the final fallback to the magic distance)."""
+        pairs filled by the final fallback to the magic distance).
+
+        At the stage of distance d a blank pair (u, v) is filled when some
+        third vertex z has label(u, z) (+) label(v, z) == d, read from the
+        rows as they stood when the stage began."""
         X = rows.copy()
-        B = X.shape[0]
+        opl = self.opl.reshape(-1)
         for d in self.ctx.permutation:
-            prev = X.copy()
-            fill = np.zeros_like(X, dtype=bool)
-            for q, (u, v) in enumerate(self.pairs):
-                blank = prev[:, q] == 0
-                if not blank.any():
-                    continue
-                acc = np.zeros(B, dtype=bool)
-                for z in range(self.n):
-                    if z == u or z == v:
-                        continue
-                    a = prev[:, self.pair_index[(min(u, z), max(u, z))]]
-                    b = prev[:, self.pair_index[(min(v, z), max(v, z))]]
-                    acc |= self.opl[a, b] == d
-                fill[:, q] = blank & acc
-            X[fill] = d
+            hit = opl == d
+            # Often no two labels give d (under (3,1,3,10,9) only 2 is ever
+            # reached), and then the stage fills nothing.
+            if not hit.any():
+                continue
+            reached = hit[self._codes(X[:, self.partners])].any(axis=2)
+            X[(X == 0) & reached] = d
         fallback = X == 0
         X[fallback] = self.ctx.m
         return X, fallback
 
     def member_batch(self, full_rows: np.ndarray) -> np.ndarray:
         """Every triangle allowed; rows must have no blanks."""
-        ok = np.ones(full_rows.shape[0], dtype=bool)
-        for q1, q2, q3 in self.triangles:
-            ok &= self.allowed3[full_rows[:, q1], full_rows[:, q2], full_rows[:, q3]]
-        return ok
+        return self.allowed3.reshape(-1)[self._codes(full_rows[:, self.triangles])].all(axis=1)
 
     def obstruction_batch(self, rows: np.ndarray) -> np.ndarray:
         """True where the partial graph contains an obstruction cycle, found
         as a forbidden triangle or as a closed walk tracing a longer word."""
-        bad = np.zeros(rows.shape[0], dtype=bool)
-        for q1, q2, q3 in self.triangles:
-            bad |= self.forb3[rows[:, q1], rows[:, q2], rows[:, q3]]
+        bad = self.forb3.reshape(-1)[self._codes(rows[:, self.triangles])].any(axis=1)
         rest = np.flatnonzero(~bad)
         if self.words and rest.size:
             bad[rest[self._word_scan(rows[rest])]] = True

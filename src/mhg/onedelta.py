@@ -41,11 +41,22 @@ def classify_1d(p: ParameterSequence, i: int, j: int) -> FamilyTag | None:
     active family holds, so the order only fixes the rule.  Pairs with
     i + j < 3 are not cycles and give None.
     """
+    return _cell_tag(p, _ordered_tags(p), i, j)
+
+
+def _ordered_tags(p: ParameterSequence) -> tuple[FamilyTag, ...]:
+    """The active families of p in FamilyTag declaration order."""
     tags = active_tags(p)
+    return tuple(t for t in FamilyTag if t in tags)
+
+
+def _cell_tag(
+    p: ParameterSequence, tags: tuple[FamilyTag, ...], i: int, j: int
+) -> FamilyTag | None:
     if i < 0 or j < 0 or i + j < 3:
         return None
     labels = (p.delta,) * i + (1,) * j
-    return next((t for t in FamilyTag if t in tags and _tag_holds(p, t, labels)), None)
+    return next((t for t in tags if _tag_holds(p, t, labels)), None)
 
 
 @dataclass(frozen=True)
@@ -117,10 +128,11 @@ def render_table(p: ParameterSequence) -> OneDeltaTable:
     3*delta + 3 in either coordinate.  Cached: both the tuple and the
     table are frozen."""
     cap = 3 * p.delta + 3
+    tags = _ordered_tags(p)
     cells = []
     for i in range(cap + 1):
         for j in range(cap + 1):
-            tag = classify_1d(p, i, j)
+            tag = _cell_tag(p, tags, i, j)
             if tag is not None:
                 cells.append(OneDeltaCell(i, j, tag))
     return OneDeltaTable(p, tuple(cells))

@@ -16,7 +16,7 @@ not enumerated.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .completion import magic_complete
 from .families import find_witness
@@ -26,7 +26,14 @@ from .params import ParameterSequence
 
 _EXAMPLE_CAP = 20
 _FALLBACK_CAP = 5
+# Lattice points per n.  An exhaustive run holds the lattice and, per row, a
+# witness-free and a magic-ok verdict: one byte each, so 600 MB at the cap.
+# A sampled run holds the lattice (200 MB) and 8 + 3 bytes per sampled row.
 _LATTICE_CAP = 200_000_000
+# Rows per engine batch; the working set of a batch is a few MB.
+_CHUNK_ROWS = 1 << 16
+# Keys of EquivalenceReport.stats["seconds"].
+_LAYERS = ("lattice", "decode", "complete", "member", "obstruction", "spot_check")
 
 
 class BudgetExceededError(RuntimeError):
@@ -107,6 +114,9 @@ class EquivalenceReport:
     fallback_examples: tuple[dict, ...]
     spot_checks: dict
     elapsed_seconds: float
+    # Where the run spent its time and what it counted; kept out of
+    # to_json_obj like elapsed_seconds.
+    stats: dict = field(default_factory=dict, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -145,6 +155,11 @@ def verify_equivalence(
     """Check search = witness-free = magic success over graphs on up to n_max
     vertices (exhaustive), or over `sample` uniform labellings on exactly
     n_max vertices when sample is given.
+
+    Rows go through the engine in chunks of _CHUNK_ROWS lattice indices.
+    Per n only one byte per row is kept for each of the witness-free and
+    magic verdicts; the few rows that a spot check or an example needs are
+    decoded again on demand.
     """
     if n_max < 3:
         raise ValueError("n_max must be at least 3")
@@ -166,47 +181,78 @@ def verify_equivalence(
     fb_graphs = 0
     fb_examples: list[dict] = []
     spot = {"search": 0, "search_skipped": 0, "magic": 0, "witness": 0}
+    seconds = dict.fromkeys(_LAYERS, 0.0)
+    points = chunks = completable_rows = 0
+
+    def timed(layer, fn, *args):
+        t0 = time.perf_counter()
+        out = fn(*args)
+        seconds[layer] += time.perf_counter() - t0
+        return out
 
     for n in [n_max] if sample is not None else range(3, n_max + 1):
         eng = Engine(ctx, n)
         if eng.size > _LATTICE_CAP:
             raise BudgetExceededError(f"lattice for n={n} has {eng.size} points; use sampling")
-        completable = eng.completable_lattice()
+        points += eng.size
+        completable = timed("lattice", eng.completable_lattice)
         if sample is None:
-            idx = np.arange(eng.size, dtype=np.int64)
+            # Row i is lattice point i, so the lattice is the search verdict.
+            idx = None
+            total = eng.size
+            orc = completable
         else:
             idx = rng.integers(0, eng.size, size=sample, dtype=np.int64)
-        rows = eng.decode(idx)
-        orc = completable[idx]
-        filled, fb = eng.complete_batch(rows)
-        magic_ok = eng.member_batch(filled)
-        wit_free = ~eng.obstruction_batch(rows)
-        checked += int(idx.size)
+            total = sample
+            orc = completable[idx]
+            del completable
+        wit_free = np.empty(total, dtype=bool)
+        magic_ok = np.empty(total, dtype=bool)
 
-        fb_any = fb.any(axis=1)
-        fb_graphs += int(fb_any.sum())
-        for i in np.flatnonzero(fb_any):
-            if len(fb_examples) >= _FALLBACK_CAP:
-                break
-            fb_examples.append(
-                {
-                    "n": n,
-                    "graph": eng.row_to_graph(rows[i]).to_json_obj(),
-                    "pairs": [list(eng.pairs[q]) for q in np.flatnonzero(fb[i])],
-                }
-            )
+        def rows_at(pos):
+            return eng.decode(pos if idx is None else idx[pos])
 
-        _spot_check(eng, rows, orc, filled, fb, magic_ok, wit_free, rng, budget, spot)
+        for lo in range(0, total, _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, total)
+            rows = timed("decode", rows_at, np.arange(lo, hi, dtype=np.int64))
+            filled, fb = timed("complete", eng.complete_batch, rows)
+            magic_ok[lo:hi] = timed("member", eng.member_batch, filled)
+            wit_free[lo:hi] = ~timed("obstruction", eng.obstruction_batch, rows)
+            chunks += 1
+            fb_any = fb.any(axis=1)
+            fb_graphs += int(fb_any.sum())
+            for i in np.flatnonzero(fb_any)[: _FALLBACK_CAP - len(fb_examples)]:
+                fb_examples.append(
+                    {
+                        "n": n,
+                        "graph": eng.row_to_graph(rows[i]).to_json_obj(),
+                        "pairs": [list(eng.pairs[q]) for q in np.flatnonzero(fb[i])],
+                    }
+                )
+        checked += total
+        completable_rows += int(np.count_nonzero(orc))
 
-        for i in np.flatnonzero(orc != wit_free):
-            wit_mm += 1
-            if len(examples) < _EXAMPLE_CAP:
-                examples.append(_confirmed(eng, rows[i], "witness", orc[i], wit_free[i], magic_ok[i], budget))
-        for i in np.flatnonzero(orc != magic_ok):
-            mag_mm += 1
-            if len(examples) < _EXAMPLE_CAP:
-                examples.append(_confirmed(eng, rows[i], "magic", orc[i], wit_free[i], magic_ok[i], budget))
+        timed("spot_check", _spot_check, eng, rows_at, orc, magic_ok, wit_free, rng, budget, spot)
 
+        wit_bad = np.flatnonzero(orc != wit_free)
+        mag_bad = np.flatnonzero(orc != magic_ok)
+        wit_mm += wit_bad.size
+        mag_mm += mag_bad.size
+        for kind, bad in (("witness", wit_bad), ("magic", mag_bad)):
+            shown = bad[: max(0, _EXAMPLE_CAP - len(examples))]
+            for i, row in zip(shown, rows_at(shown)):
+                examples.append(
+                    _confirmed(eng, row, kind, orc[i], wit_free[i], magic_ok[i], budget)
+                )
+
+    stats = {
+        "seconds": seconds,
+        "lattice_points": points,
+        "rows_checked": checked,
+        "chunks": chunks,
+        "completable_fraction": completable_rows / checked,
+        "search_skipped": spot["search_skipped"],
+    }
     return EquivalenceReport(
         params=p.as_tuple(),
         m=ctx.m,
@@ -222,22 +268,25 @@ def verify_equivalence(
         fallback_examples=tuple(fb_examples),
         spot_checks=spot,
         elapsed_seconds=time.monotonic() - start,
+        stats=stats,
     )
 
 
-def _spot_check(eng, rows, orc, filled, fb, magic_ok, wit_free, rng, budget, spot) -> None:
+def _spot_check(eng, rows_at, orc, magic_ok, wit_free, rng, budget, spot) -> None:
     """Scalar reference vs vectorized result over random rows, same route on
-    both sides; any disagreement is an internal error, never a finding."""
+    both sides; any disagreement is an internal error, never a finding.
+    rows_at(positions) decodes the rows at those positions."""
     import numpy as np
 
-    total = rows.shape[0]
+    total = orc.shape[0]
     p = eng.p
 
     def pick(k: int) -> np.ndarray:
         return rng.choice(total, size=min(k, total), replace=False)
 
-    for i in pick(200):
-        g = eng.row_to_graph(rows[i])
+    chosen = pick(200)
+    for i, row in zip(chosen, rows_at(chosen)):
+        g = eng.row_to_graph(row)
         try:
             ref = has_completion(p, g, budget=min(budget, 2_000_000))
         except BudgetExceededError:
@@ -246,20 +295,24 @@ def _spot_check(eng, rows, orc, filled, fb, magic_ok, wit_free, rng, budget, spo
         if ref != bool(orc[i]):
             raise RuntimeError(f"engine disagreement (search route) on {g!r}")
         spot["search"] += 1
-    for i in pick(50):
-        g = eng.row_to_graph(rows[i])
+    chosen = pick(50)
+    rows = rows_at(chosen)
+    filled, fb = eng.complete_batch(rows)
+    for i, row, row_filled, row_fb in zip(chosen, rows, filled, fb):
+        g = eng.row_to_graph(row)
         done, trace = magic_complete(eng.ctx, g)
-        if not np.array_equal(eng.graph_to_row(done), filled[i]):
+        if not np.array_equal(eng.graph_to_row(done), row_filled):
             raise RuntimeError(f"engine disagreement (completion route) on {g!r}")
         if {eng.pair_index[pr] for pr in trace.fallback_pairs} != set(
-            np.flatnonzero(fb[i]).tolist()
+            np.flatnonzero(row_fb).tolist()
         ):
             raise RuntimeError(f"engine disagreement (fallback log) on {g!r}")
         if is_member(p, done) != bool(magic_ok[i]):
             raise RuntimeError(f"engine disagreement (membership route) on {g!r}")
         spot["magic"] += 1
-    for i in pick(12):
-        g = eng.row_to_graph(rows[i])
+    chosen = pick(12)
+    for i, row in zip(chosen, rows_at(chosen)):
+        g = eng.row_to_graph(row)
         if (find_witness(p, g) is None) != bool(wit_free[i]):
             raise RuntimeError(f"engine disagreement (obstruction route) on {g!r}")
         spot["witness"] += 1

@@ -290,6 +290,18 @@ def test_verify_json_byte_stable(capsys):
     assert obj["graphs_checked"] == 4160
 
 
+def test_verify_stats_leave_json_alone(capsys):
+    argv = ["verify", "--params", *III3, "--n-max", "4", "--json"]
+    code1, out1, err1 = run(capsys, argv)
+    code2, out2, err2 = run(capsys, argv + ["--stats"])
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert err1 == ""
+    label, _, body = err2.strip().partition(" ")
+    assert label == "stats"
+    assert json.loads(body)["rows_checked"] == 4160
+
+
 def test_verify_sampled_seed_echo(capsys):
     code, out, _ = run(
         capsys,

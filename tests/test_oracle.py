@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from mhg import oracle
 from mhg.completion import magic_complete
 from mhg.engine import Engine
 from mhg.families import find_witness
 from mhg.graphs import EdgeLabelledGraph, is_member
 from mhg.magic import default_context
 from mhg.oracle import BudgetExceededError, has_completion, verify_equivalence
-from mhg.params import ParameterSequence
+from mhg.params import ParameterSequence, enumerate_admissible
 
 P_IIB = ParameterSequence(5, 3, 3, 16, 13)
 P_III3 = ParameterSequence(3, 1, 3, 10, 9)
@@ -77,6 +78,93 @@ def test_engine_matches_scalar_routes_delta3_n3():
         assert fset == set(np.flatnonzero(fb[i]).tolist()), g
         assert member[i] == is_member(P_III3, done), g
         assert obstructed[i] == (find_witness(P_III3, g) is not None), g
+
+
+# Every delta = 3 tuple at n = 4 and 5, and cases IIA, IIB (delta = 5) and
+# III (delta = 4) at n = 5: each pair has n - 2 partner vertices z, and the
+# lattice index spans several digits.  The delta = 6 tuple packs label
+# triples into codes above 255.
+SEEDED_ROW_CASES = [(p, n) for p in enumerate_admissible(3) for n in (4, 5)] + [
+    (ParameterSequence(5, 3, 3, 14, 13), 5),
+    (P_IIB, 5),
+    (ParameterSequence(4, 2, 3, 14, 11), 5),
+    (ParameterSequence(6, 3, 4, 16, 15), 4),
+]
+
+
+@pytest.mark.parametrize(
+    "p, n", SEEDED_ROW_CASES, ids=[f"{p.as_tuple()}-n{n}" for p, n in SEEDED_ROW_CASES]
+)
+def test_engine_matches_scalar_routes_seeded_rows(p, n):
+    """Every route of the vectorized engine against its scalar reference on
+    seeded rows: uniform lattice points, and rows with each pair blank with
+    probability 0.45, which reach the fallback and longer cycles more often."""
+    ctx = default_context(p)
+    eng = Engine(ctx, n)
+    rng = np.random.default_rng(n * 1000 + sum(p.as_tuple()))
+    k = 60
+    idx = rng.integers(0, eng.size, size=k, dtype=np.int64)
+    sparse = rng.integers(1, eng.base, size=(k, eng.P)) * (rng.random((k, eng.P)) >= 0.45)
+    rows = np.concatenate([eng.decode(idx), sparse.astype(np.uint8)])
+    assert np.array_equal(eng.encode(rows[:k]), idx)
+    completable = eng.completable_lattice()[eng.encode(rows)]
+    filled, fb = eng.complete_batch(rows)
+    member = eng.member_batch(filled)
+    obstructed = eng.obstruction_batch(rows)
+    for i, row in enumerate(rows):
+        g = eng.row_to_graph(row)
+        assert completable[i] == has_completion(p, g), g
+        done, trace = magic_complete(ctx, g)
+        assert np.array_equal(eng.graph_to_row(done), filled[i]), g
+        fset = {eng.pair_index[pr] for pr in trace.fallback_pairs}
+        assert fset == set(np.flatnonzero(fb[i]).tolist()), g
+        assert member[i] == is_member(p, done), g
+        assert obstructed[i] == (find_witness(p, g) is not None), g
+
+
+@pytest.mark.parametrize(
+    "p, n_max, kwargs",
+    [(P_III3, 4, {}), (P_IIB, 4, {"sample": 400, "seed": 11})],
+    ids=["exhaustive", "sampled"],
+)
+def test_verify_chunk_size_does_not_change_report(monkeypatch, p, n_max, kwargs):
+    """A prime chunk size puts chunk boundaries everywhere; the report must
+    not depend on them."""
+    want = verify_equivalence(p, n_max, **kwargs)
+    monkeypatch.setattr(oracle, "_CHUNK_ROWS", 7)
+    got = verify_equivalence(p, n_max, **kwargs)
+    assert got.to_json_obj() == want.to_json_obj()
+    rows = [4**3, 4**6] if not kwargs else [400]
+    assert got.stats["chunks"] == sum(-(-r // 7) for r in rows)
+
+
+def test_verify_stats_keys():
+    report = verify_equivalence(P_III3, 4)
+    stats = report.stats
+    assert set(stats) == {
+        "seconds",
+        "lattice_points",
+        "rows_checked",
+        "chunks",
+        "completable_fraction",
+        "search_skipped",
+    }
+    assert set(stats["seconds"]) == {
+        "lattice",
+        "decode",
+        "complete",
+        "member",
+        "obstruction",
+        "spot_check",
+    }
+    assert all(s >= 0 for s in stats["seconds"].values())
+    assert stats["lattice_points"] == stats["rows_checked"] == report.graphs_checked == 4160
+    assert stats["chunks"] == 2
+    ctx = default_context(P_III3)
+    completable = sum(int(Engine(ctx, n).completable_lattice().sum()) for n in (3, 4))
+    assert stats["completable_fraction"] == completable / 4160
+    assert stats["search_skipped"] == report.spot_checks["search_skipped"]
+    assert "stats" not in report.to_json_obj()
 
 
 def test_verify_exhaustive_frozen():
