@@ -242,7 +242,6 @@ def cmd_verify(args) -> int:
         sample=args.sample,
         seed=args.seed,
         m=args.m,
-        budget=args.budget,
     )
     if args.stats:
         print(f"stats {_dumps(report.stats)}", file=sys.stderr)
@@ -382,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--sample", type=int, default=None)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--m", type=int, default=None, help="magic distance override")
-    verify.add_argument("--budget", type=int, default=10**9)
     verify.add_argument(
         "--stats", action="store_true", help="print per-layer seconds and counters to stderr"
     )

@@ -9,9 +9,12 @@ the obstruction scan operate on uint8 arrays of lattice rows.  Each is a
 gather through an index array built once per Engine (the two partner pairs
 of every pair and third vertex; the three pairs of every triangle), a lookup
 of the gathered labels in a flattened table, and one reduce; the verifier
-streams a lattice through them in fixed-size chunks.  complete_graph and
-first_violating_graph run the same two routes on one graph held as an
-(n, n) label matrix, for graphs too large for the pure-Python references.
+streams a lattice through them in fixed-size chunks.  F(p) is read once
+per Engine: its triangles fill forb3, and its longer cycles are the words
+of a transfer-matrix scan, one boolean matmul per letter over the rows'
+(n, n) label matrices.  complete_graph and first_violating_graph run the
+completion and membership routes on one graph held as an (n, n) label
+matrix, for graphs too large for the pure-Python references.
 
 The scalar routines in completion, families and oracle stay the reference
 implementations; the verifier cross-checks sampled rows against them and
@@ -20,12 +23,12 @@ treats any disagreement as an internal error rather than a finding.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 
 from .completion import CompletionTrace
-from .families import enumerate_forbidden, is_forbidden
+from .families import enumerate_forbidden
 from .graphs import EdgeLabelledGraph, TriangleVerdict, triangle_verdict, triangle_violations
 from .magic import MagicContext
 from .params import ParameterSequence
@@ -81,9 +84,16 @@ class Engine:
         # stay below base**3, so this dtype never wraps.
         self.code_dtype = np.min_scalar_type(self.base**3)
         self.allowed3 = self._allowed_table()
-        self.forb3 = self._forbidden_table()
         self.opl = _oplus_table(ctx, range(self.base))
-        self.words = [w for w in enumerate_forbidden(self.p) if len(w) >= 4]
+        # Each order of a 3-cycle is a rotation or reflection of it, so a
+        # forbidden triangle sets all six orders of forb3.
+        forbidden = enumerate_forbidden(self.p)
+        self.forb3 = np.zeros((self.base,) * 3, dtype=bool)
+        for t in forbidden:
+            if len(t) == 3:
+                for a, b, c in permutations(t):
+                    self.forb3[a, b, c] = True
+        self.words = [w for w in forbidden if len(w) >= 4]
 
     def _allowed_table(self) -> np.ndarray:
         """allowed3[a, b, c]: triangle with those labels is allowed.  Entries
@@ -91,14 +101,6 @@ class Engine:
         arr = np.ones((self.base,) * 3, dtype=bool)
         for a, b, c in product(range(1, self.base), repeat=3):
             arr[a, b, c] = triangle_verdict(self.p, a, b, c).ok
-        return arr
-
-    def _forbidden_table(self) -> np.ndarray:
-        """forb3[a, b, c]: the 3-cycle lies in the obstruction set.  Built
-        from the family route, independently of allowed3."""
-        arr = np.zeros((self.base,) * 3, dtype=bool)
-        for a, b, c in product(range(1, self.base), repeat=3):
-            arr[a, b, c] = is_forbidden(self.p, (a, b, c))
         return arr
 
     def decode(self, idx: np.ndarray) -> np.ndarray:
@@ -193,32 +195,27 @@ class Engine:
         return bad
 
     def _word_scan(self, rows: np.ndarray) -> np.ndarray:
-        """Closed-walk detection by transfer matrices: a walk labelled
-        w exists iff the product of per-label adjacency matrices has a
-        nonzero diagonal.  The trace is rotation and transpose invariant,
-        so one canonical word per cycle suffices."""
-        B = rows.shape[0]
-        found = np.zeros(B, dtype=bool)
-        if B == 0:
-            return found
-        adj = np.zeros((self.base, B, self.n, self.n), dtype=np.uint8)
-        rix = np.arange(B)
-        for q, (u, v) in enumerate(self.pairs):
-            lbl = rows[:, q]
-            adj[lbl, rix, u, v] = 1
-            adj[lbl, rix, v, u] = 1
-        adj[0] = 0
-        dix = np.arange(self.n)
+        """Closed-walk detection by transfer matrices on symmetric (n, n)
+        label matrices (0 on blank pairs and the diagonal): a walk labelled
+        w exists iff the product of the masks sub == l for l in w, with
+        numpy's bool matmul (OR of ANDs), has a True diagonal entry.  That
+        is invariant under rotating and reversing w, so one canonical word
+        per cycle suffices."""
+        # triu_indices lists the pairs in the rows' lexicographic order.
+        iu, ju = np.triu_indices(self.n, 1)
+        mats = np.zeros((rows.shape[0], self.n, self.n), dtype=rows.dtype)
+        mats[:, iu, ju] = rows
+        mats[:, ju, iu] = rows
+        found = np.zeros(rows.shape[0], dtype=bool)
         for w in self.words:
             alive = np.flatnonzero(~found)
             if alive.size == 0:
                 break
-            m = adj[w[0]][alive]
+            sub = mats[alive]
+            m = sub == w[0]
             for l in w[1:]:
-                m = np.matmul(m, adj[l][alive])
-                np.minimum(m, 1, out=m)
-            hit = m[:, dix, dix].any(axis=1)
-            found[alive[hit]] = True
+                m = np.matmul(m, sub == l)
+            found[alive[m.diagonal(axis1=1, axis2=2).any(axis=1)]] = True
         return found
 
 

@@ -187,14 +187,16 @@ def triangle_verdict(p: ParameterSequence, a: int, b: int, c: int) -> TriangleVe
 def first_violating_triangle(
     p: ParameterSequence, g: EdgeLabelledGraph
 ) -> tuple[tuple[int, int, int], TriangleVerdict] | None:
-    """First fully labelled triangle (by vertex triple) with a violation."""
-    for u, v, w in combinations(range(g.n), 3):
-        luv, luw, lvw = g.label(u, v), g.label(u, w), g.label(v, w)
-        if luv is None or luw is None or lvw is None:
-            continue
-        verdict = triangle_verdict(p, luv, luw, lvw)
-        if not verdict.ok:
-            return (u, v, w), verdict
+    """First fully labelled triangle (by vertex triple) with a violation.  Per
+    u, walks the neighbour pairs v < w above u, not all C(n, 3) triples."""
+    adj = g.adjacency()
+    for u in range(g.n):
+        for v, w in combinations(sorted(x for x in adj[u] if x > u), 2):
+            lvw = adj[v].get(w)
+            if lvw is not None:
+                verdict = triangle_verdict(p, adj[u][v], adj[u][w], lvw)
+                if not verdict.ok:
+                    return (u, v, w), verdict
     return None
 
 

@@ -32,6 +32,8 @@ _FALLBACK_CAP = 5
 _LATTICE_CAP = 200_000_000
 # Rows per engine batch; the working set of a batch is a few MB.
 _CHUNK_ROWS = 1 << 16
+# Search nodes per spot-checked graph; one that needs more is skipped.
+_SPOT_BUDGET = 2_000_000
 # Keys of EquivalenceReport.stats["seconds"].
 _LAYERS = ("lattice", "decode", "complete", "member", "obstruction", "spot_check")
 
@@ -150,7 +152,6 @@ def verify_equivalence(
     sample: int | None = None,
     seed: int = 0,
     m: int | None = None,
-    budget: int = 10**9,
 ) -> EquivalenceReport:
     """Check search = witness-free = magic success over graphs on up to n_max
     vertices (exhaustive), or over `sample` uniform labellings on exactly
@@ -232,7 +233,7 @@ def verify_equivalence(
         checked += total
         completable_rows += int(np.count_nonzero(orc))
 
-        timed("spot_check", _spot_check, eng, rows_at, orc, magic_ok, wit_free, rng, budget, spot)
+        timed("spot_check", _spot_check, eng, rows_at, orc, magic_ok, wit_free, rng, spot)
 
         wit_bad = np.flatnonzero(orc != wit_free)
         mag_bad = np.flatnonzero(orc != magic_ok)
@@ -242,7 +243,7 @@ def verify_equivalence(
             shown = bad[: max(0, _EXAMPLE_CAP - len(examples))]
             for i, row in zip(shown, rows_at(shown)):
                 examples.append(
-                    _confirmed(eng, row, kind, orc[i], wit_free[i], magic_ok[i], budget)
+                    _confirmed(eng, row, kind, orc[i], wit_free[i], magic_ok[i])
                 )
 
     stats = {
@@ -272,7 +273,7 @@ def verify_equivalence(
     )
 
 
-def _spot_check(eng, rows_at, orc, magic_ok, wit_free, rng, budget, spot) -> None:
+def _spot_check(eng, rows_at, orc, magic_ok, wit_free, rng, spot) -> None:
     """Scalar reference vs vectorized result over random rows, same route on
     both sides; any disagreement is an internal error, never a finding.
     rows_at(positions) decodes the rows at those positions."""
@@ -288,7 +289,7 @@ def _spot_check(eng, rows_at, orc, magic_ok, wit_free, rng, budget, spot) -> Non
     for i, row in zip(chosen, rows_at(chosen)):
         g = eng.row_to_graph(row)
         try:
-            ref = has_completion(p, g, budget=min(budget, 2_000_000))
+            ref = has_completion(p, g, budget=_SPOT_BUDGET)
         except BudgetExceededError:
             spot["search_skipped"] += 1
             continue
@@ -318,11 +319,11 @@ def _spot_check(eng, rows_at, orc, magic_ok, wit_free, rng, budget, spot) -> Non
         spot["witness"] += 1
 
 
-def _confirmed(eng, row, kind, orc_v, wit_v, mag_v, budget) -> dict:
+def _confirmed(eng, row, kind, orc_v, wit_v, mag_v) -> dict:
     """Re-derive all three verdicts for a mismatching graph with the scalar
     routines before reporting it."""
     g = eng.row_to_graph(row)
-    ref_search = has_completion(eng.p, g, budget=budget)
+    ref_search = has_completion(eng.p, g)
     done, _ = magic_complete(eng.ctx, g)
     ref_magic = is_member(eng.p, done)
     ref_witness = find_witness(eng.p, g) is None

@@ -1,9 +1,15 @@
-"""Shared test plumbing: the acceptance criteria summary block, and the
-tuples and random graphs of the label-matrix differential tests.
+"""Shared test plumbing: the acceptance criteria summary block, the tuples
+and random graphs of the label-matrix differential tests, and a runner for
+code that must finish in a fresh process within a time limit.
 
 Each acceptance test records its verdict before asserting, so the final
 report shows one line per criterion even when a criterion fails.
 """
+
+import os
+import re
+import subprocess
+import sys
 
 from mhg.graphs import EdgeLabelledGraph
 from mhg.params import ParameterSequence
@@ -37,11 +43,35 @@ def random_graph(rng, n, density, labels):
     return EdgeLabelledGraph(n, edges)
 
 
+def run_python(args, timeout):
+    """`python ARGS` in a fresh process, src/ on the path; raises
+    subprocess.TimeoutExpired after timeout seconds."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join([src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
 _criteria: dict[int, tuple[bool, str, tuple[str, ...]]] = {}
+# Seconds per criterion: setup, call and teardown of its test.  Criterion
+# 2's setup includes the sweep fixture it shares with criterion 3.
+_seconds: dict[int, float] = {}
 
 
 def record_criterion(num: int, ok: bool, detail: str, notes: tuple[str, ...] = ()) -> None:
     _criteria[num] = (ok, detail, notes)
+
+
+def pytest_runtest_logreport(report):
+    hit = re.search(r"::test_criterion_(\d+)_", report.nodeid)
+    if hit:
+        num = int(hit.group(1))
+        _seconds[num] = _seconds.get(num, 0.0) + report.duration
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -51,6 +81,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for num in sorted(_criteria):
         ok, detail, notes = _criteria[num]
         verdict = "PASS" if ok else "FAIL"
-        terminalreporter.write_line(f"CRITERION {num}: {verdict} - {detail}")
+        secs = _seconds.get(num, 0.0)
+        terminalreporter.write_line(f"CRITERION {num}: {verdict} ({secs:.1f} s) - {detail}")
         for line in notes:
             terminalreporter.write_line(f"  {line}")

@@ -1,9 +1,7 @@
 import json
-import os
-import subprocess
-import sys
 
 import pytest
+from conftest import run_python
 
 from mhg import cli
 from mhg.cli import main
@@ -130,6 +128,22 @@ def test_graph_check_violation(capsys, tmp_path):
     assert obj["violating_triangle"]["violations"] == ["K1Low"]
 
 
+def test_graph_check_text(capsys, tmp_path, triangle):
+    code, out, _ = run(capsys, ["graph", "check", triangle, "--params", *IIB])
+    assert code == 0
+    assert out == "member\n"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 4, "edges": [[0, 1, 1], [0, 2, 1], [1, 2, 1], [2, 3, 7]]}))
+    code, out, _ = run(capsys, ["graph", "check", str(path), "--params", *IIB])
+    assert code == 0
+    assert out.splitlines() == [
+        "not a member",
+        "graph is incomplete",
+        "label 7 exceeds delta=5",
+        "violating triangle (0,1,2) labels (1, 1, 1) [K1Low]",
+    ]
+
+
 def test_graph_check_malformed_json(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -229,12 +243,23 @@ def test_family_classify_text(capsys):
     code, out, _ = run(capsys, ["family", "classify", "--params", *IIB, "--cycle", "3,3,3"])
     assert code == 0
     assert "forbidden: no" in out
+    code, out, _ = run(capsys, ["family", "classify", "--params", *IIB, "--cycle", "5,5,5,5,5"])
+    assert code == 0
+    assert out.splitlines() == [
+        "cycle 5,5,5,5,5  forbidden: yes",
+        "  C n=2 d=(5,5,5,5,5) x=(-)",
+        "  Special5 n=2 d=(5,5,5,5,5) x=(-)",
+    ]
 
 
 def test_family_classify_bad_cycle(capsys):
     code, _, err = run(capsys, ["family", "classify", "--params", *IIB, "--cycle", "5,x"])
     assert code == 2
     assert "comma-separated" in err
+    code, out, err = run(capsys, ["family", "classify", "--params", *IIB, "--cycle", "1,2"])
+    assert code == 2
+    assert out == ""
+    assert "at least 3 labels" in err
 
 
 def test_family_enumerate(capsys):
@@ -277,6 +302,12 @@ def test_verify_text(capsys):
     assert code == 0
     assert "graphs checked: 64" in out
     assert out.strip().endswith("ok")
+    code, out, _ = run(
+        capsys, ["verify", "--params", *III3, "--n-max", "3", "--sample", "50", "--seed", "4"]
+    )
+    assert code == 0
+    assert out.splitlines()[1] == "mode sampled  n=3  sample=50  seed=4"
+    assert "graphs checked: 50" in out
 
 
 def test_verify_json_byte_stable(capsys):
@@ -367,6 +398,7 @@ def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
     assert main(["verify", "--params", *III3, "--n-max", "3", "--threads", "2"]) == 2
+    assert main(["verify", "--params", *III3, "--n-max", "3", "--budget", "5"]) == 2
 
 
 def test_verify_rejects_bad_n(capsys):
@@ -397,26 +429,13 @@ def test_internal_error_exit_code(capsys, monkeypatch, exc):
     assert f"internal error: {type(exc).__name__}" in err
 
 
-def _run_mhg(args, timeout):
-    """`python -m mhg ARGS` in a fresh process, src/ on the path."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    path = os.pathsep.join([src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
-    return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        timeout=timeout,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
-
-
 @pytest.mark.parametrize("command", [["graph", "check"], ["complete"]], ids=["graph-check", "complete"])
 def test_huge_n_refused(tmp_path, command):
     """A 27-byte input with n far above the cap exits 2 at once, before any
     n-by-n allocation or O(n^3) scan."""
     path = tmp_path / "huge.json"
     path.write_text('{"n": 100000, "edges": []}')
-    proc = _run_mhg(["-m", "mhg", *command, str(path), "--params", *IIB], timeout=30)
+    proc = run_python(["-m", "mhg", *command, str(path), "--params", *IIB], timeout=30)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "vertices" in proc.stderr
@@ -431,5 +450,5 @@ def test_cli_does_not_import_numpy():
         "assert mhg.cli.main(['params', 'check', '5', '3', '3', '16', '13']) == 0\n"
         "assert 'numpy' not in sys.modules, 'params check'\n"
     )
-    proc = _run_mhg(["-c", code], timeout=60)
+    proc = run_python(["-c", code], timeout=60)
     assert proc.returncode == 0, proc.stderr

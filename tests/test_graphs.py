@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from conftest import MATRIX_TUPLES, WIDE_TUPLES, random_graph
+from conftest import MATRIX_TUPLES, WIDE_TUPLES, random_graph, run_python
 
 from mhg.completion import magic_complete
 from mhg.engine import first_violating_graph
@@ -144,6 +144,23 @@ def test_first_violating_triangle():
     assert (u, v, w) == (0, 1, 2)
     assert verdict.labels == (3, 1, 1)
     assert verdict.violations == {TriangleViolation.NON_METRIC, TriangleViolation.K1_LOW}
+
+
+def test_first_violating_triangle_sparse_huge_graph():
+    """A 100,000-vertex path closed into one K1Low triangle at its far end:
+    C(n, 3) is about 1.7e14 triples, but the scan walks only neighbour
+    pairs, so a fresh process answers well inside the time limit."""
+    code = (
+        "from mhg.graphs import EdgeLabelledGraph, first_violating_triangle\n"
+        "from mhg.params import ParameterSequence\n"
+        "n = 100_000\n"
+        "g = EdgeLabelledGraph(n, [(i, i + 1, 1) for i in range(n - 1)] + [(n - 3, n - 1, 1)])\n"
+        "tri, verdict = first_violating_triangle(ParameterSequence(5, 3, 3, 16, 13), g)\n"
+        "print(tri, sorted(v.value for v in verdict.violations))\n"
+    )
+    proc = run_python(["-c", code], timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "(99997, 99998, 99999) ['K1Low']\n"
 
 
 def test_is_member():

@@ -1,10 +1,14 @@
+import re
+from itertools import product
+
 import numpy as np
 import pytest
 
 from mhg import oracle
+from mhg.cli import main
 from mhg.completion import magic_complete
 from mhg.engine import Engine
-from mhg.families import find_witness
+from mhg.families import find_witness, is_forbidden
 from mhg.graphs import EdgeLabelledGraph, is_member
 from mhg.magic import default_context
 from mhg.oracle import BudgetExceededError, has_completion, verify_equivalence
@@ -78,6 +82,18 @@ def test_engine_matches_scalar_routes_delta3_n3():
         assert fset == set(np.flatnonzero(fb[i]).tolist()), g
         assert member[i] == is_member(P_III3, done), g
         assert obstructed[i] == (find_witness(P_III3, g) is not None), g
+
+
+def test_engine_forb3_matches_is_forbidden():
+    """forb3, filled from the triangles of enumerate_forbidden, against
+    is_forbidden on every label triple; label 0 (a blank pair) is never
+    forbidden."""
+    for p in [p for delta in range(3, 6) for p in enumerate_admissible(delta)]:
+        eng = Engine(default_context(p), 3)
+        want = np.zeros((eng.base,) * 3, dtype=bool)
+        for t in product(range(1, eng.base), repeat=3):
+            want[t] = is_forbidden(p, t)
+        assert np.array_equal(eng.forb3, want), p
 
 
 # Every delta = 3 tuple at n = 4 and 5, and cases IIA, IIB (delta = 5) and
@@ -216,3 +232,66 @@ def test_verify_rejects_small_n():
 def test_verify_rejects_non_positive_sample(sample):
     with pytest.raises(ValueError, match="sample"):
         verify_equivalence(P_III3, 4, sample=sample)
+
+
+def _flip_completion(out):
+    """Every completed row with its first pair relabelled 1 -> 2 -> 3 -> 1."""
+    filled, fb = out
+    filled = filled.copy()
+    filled[:, 0] = filled[:, 0] % 3 + 1
+    return filled, fb
+
+
+# One engine stage per route, and a wrapper that turns its verdict around.
+ENGINE_FLIPS = {
+    "search route": ("completable_lattice", np.logical_not),
+    "completion route": ("complete_batch", _flip_completion),
+    "fallback log": ("complete_batch", lambda out: (out[0], ~out[1])),
+    "membership route": ("member_batch", np.logical_not),
+    "obstruction route": ("obstruction_batch", np.logical_not),
+}
+
+
+@pytest.mark.parametrize("route", list(ENGINE_FLIPS))
+def test_engine_disagreement_is_internal_error(monkeypatch, capsys, route):
+    """A vectorized stage that contradicts its scalar reference stops the
+    run with an error naming the route; it is never reported as a finding."""
+    name, flip = ENGINE_FLIPS[route]
+    stage = getattr(Engine, name)
+    monkeypatch.setattr(Engine, name, lambda self, *args: flip(stage(self, *args)))
+    with pytest.raises(RuntimeError, match=re.escape(f"engine disagreement ({route})")):
+        verify_equivalence(P_III3, 3)
+    assert main(["verify", "--params", "3", "1", "3", "10", "9", "--n-max", "3"]) == 3
+    assert f"({route})" in capsys.readouterr().err
+
+
+def test_verify_reports_confirmed_mismatches(monkeypatch, capsys):
+    """Engine and scalar membership both call every completion a non-member,
+    so the magic route disagrees with the search route on exactly the
+    completable rows, and every example survives the scalar re-check."""
+    monkeypatch.setattr(Engine, "member_batch", lambda self, rows: np.zeros(len(rows), dtype=bool))
+    monkeypatch.setattr(oracle, "is_member", lambda p, g: False)
+    report = verify_equivalence(P_III3, 4)
+    ctx = default_context(P_III3)
+    completable = sum(int(Engine(ctx, n).completable_lattice().sum()) for n in (3, 4))
+    assert not report.ok
+    assert report.witness_mismatch_count == 0
+    assert report.magic_mismatch_count == completable > 20
+    assert len(report.mismatch_examples) == 20
+    for ex in report.mismatch_examples:
+        assert ex["kind"] == "magic"
+        verdicts = (ex["search_completable"], ex["witness_free"], ex["magic_success"])
+        assert verdicts == (True, True, False)
+        assert has_completion(P_III3, EdgeLabelledGraph.from_json_obj(ex["graph"]))
+    assert report.to_json_obj()["ok"] is False
+    assert main(["verify", "--params", "3", "1", "3", "10", "9", "--n-max", "4"]) == 1
+    assert capsys.readouterr().out.strip().endswith("MISMATCH")
+
+
+def test_verify_refuses_lattice_above_cap(monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "_LATTICE_CAP", 100)
+    verify_equivalence(P_III3, 3)  # 64 points
+    with pytest.raises(BudgetExceededError, match="n=4"):
+        verify_equivalence(P_III3, 4)
+    assert main(["verify", "--params", "3", "1", "3", "10", "9", "--n-max", "4"]) == 2
+    assert "use sampling" in capsys.readouterr().err
