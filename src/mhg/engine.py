@@ -62,10 +62,10 @@ class Engine:
         self.base = self.p.delta + 1
         self.pairs: list[tuple[int, int]] = list(combinations(range(n), 2))
         self.P = len(self.pairs)
-        self.pair_index = {pr: q for q, pr in enumerate(self.pairs)}
+        pair_index = {pr: q for q, pr in enumerate(self.pairs)}
 
         def pair(a: int, b: int) -> int:
-            return self.pair_index[(min(a, b), max(a, b))]
+            return pair_index[(min(a, b), max(a, b))]
 
         # partners[q, k] = the pairs (u, z), (v, z) for pair q = (u, v) and
         # its k-th third vertex z, in increasing z.
@@ -114,23 +114,11 @@ class Engine:
             rows[:, q] = digit
         return rows
 
-    def encode(self, rows: np.ndarray) -> np.ndarray:
-        cols = tuple(rows[:, q].astype(np.int64) for q in range(self.P))
-        return np.ravel_multi_index(cols, (self.base,) * self.P)
-
     def row_to_graph(self, row: np.ndarray) -> EdgeLabelledGraph:
         edges = [
             (u, v, int(row[q])) for q, (u, v) in enumerate(self.pairs) if row[q] != 0
         ]
         return EdgeLabelledGraph(self.n, edges)
-
-    def graph_to_row(self, g: EdgeLabelledGraph) -> np.ndarray:
-        if g.n != self.n:
-            raise ValueError(f"graph has {g.n} vertices, engine expects {self.n}")
-        row = np.zeros(self.P, dtype=np.uint8)
-        for (u, v), l in g.labels.items():
-            row[self.pair_index[(u, v)]] = l
-        return row
 
     def completable_lattice(self) -> np.ndarray:
         """Flat boolean array over the whole lattice: the labelling extends,

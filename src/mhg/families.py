@@ -3,9 +3,12 @@
 Family membership of a cycle depends only on its label multiset: a cycle
 belongs to a family when some split of its labels into distinguished edges
 d_1, d_2, ... and filler edges x_1, ..., x_k satisfies the family inequality.
-The obstruction set is the union of families active for the parameter tuple:
-a graph admits a completion exactly when no cycle of the set maps
-homomorphically into it.
+Each inequality is stated once, in the rule table _inequalities; the
+membership test, the decomposition list and the enumeration of the
+obstruction set all read it.  The special pentagon is the one family that is
+a single cycle rather than an inequality.  The obstruction set is the union
+of families active for the parameter tuple: a graph admits a completion
+exactly when no cycle of the set maps homomorphically into it.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import accumulate, combinations, combinations_with_replacement
 from typing import Iterator
 
 from .graphs import EdgeLabelledGraph, canonical_cycle
@@ -85,40 +88,50 @@ def active_tags(p: ParameterSequence) -> frozenset[FamilyTag]:
     return base | {FamilyTag.SPECIAL_5}
 
 
-def _prefix_desc(labels: Cycle) -> tuple[tuple[int, ...], int]:
-    """Descending sort plus prefix sums; pre[s] = sum of the s largest."""
-    desc = tuple(sorted(labels, reverse=True))
-    pre = [0]
-    for l in desc:
-        pre.append(pre[-1] + l)
-    return tuple(pre), sum(labels)
-
-
-def _tag_holds(p: ParameterSequence, tag: FamilyTag, labels: Cycle) -> bool:
-    """Fast multiset test: the best decomposition distinguishes the largest
-    labels, so only top-segment sums need checking."""
-    pre, total = _prefix_desc(labels)
-    ln = len(labels)
+def _inequalities(
+    p: ParameterSequence, total: int, length: int, metric: bool
+) -> Iterator[tuple[FamilyTag, int, int, int]]:
+    """The family inequalities for a cycle with this label sum and edge
+    count, as (tag, n, size, bound): a choice d of size distinguished labels,
+    the other labels being fillers, qualifies when 2*sum(d) - total > bound,
+    that is sum(d) - sum(fillers) > bound.  metric says that no label
+    exceeds the sum of the others."""
     cm1 = p.c - 1
-    if tag is FamilyTag.NON_METRIC:
-        return 2 * pre[1] > total
-    if tag is FamilyTag.K1_CYCLE:
-        return total % 2 == 1 and 2 * pre[1] <= total and total < 2 * p.k1
-    if tag is FamilyTag.K2_CYCLE:
-        if total % 2 == 0:
-            return False
-        return any(
-            2 * pre[2 * n + 2] - total > 2 * p.k2 + n * cm1 for n in range((ln - 2) // 2 + 1)
-        )
-    if tag is FamilyTag.C_CYCLE:
-        return any(2 * pre[2 * n + 1] - total > n * cm1 for n in range(1, (ln - 1) // 2 + 1))
-    if tag is FamilyTag.C0_CYCLE:
-        return total % 2 == 0 and 2 * pre[3] - total > p.c0 - 1
-    if tag is FamilyTag.C1_CYCLE:
-        return total % 2 == 1 and 2 * pre[3] - total > p.c1 - 1
-    if tag is FamilyTag.SPECIAL_5:
-        return p.delta == 5 and tuple(sorted(labels)) == SPECIAL_PENTAGON
-    raise AssertionError(tag)
+    odd = total % 2 == 1
+    yield FamilyTag.NON_METRIC, 0, 1, 0
+    if odd:
+        if metric:
+            yield FamilyTag.K1_CYCLE, 0, 0, -2 * p.k1
+        for n in range((length - 2) // 2 + 1):
+            yield FamilyTag.K2_CYCLE, n, 2 * n + 2, 2 * p.k2 + n * cm1
+    for n in range(1, (length - 1) // 2 + 1):
+        yield FamilyTag.C_CYCLE, n, 2 * n + 1, n * cm1
+    if odd:
+        yield FamilyTag.C1_CYCLE, 1, 3, p.c1 - 1
+    else:
+        yield FamilyTag.C0_CYCLE, 1, 3, p.c0 - 1
+
+
+def _is_special(p: ParameterSequence, desc: Cycle) -> bool:
+    """The special pentagon test, on the labels in descending order."""
+    return p.delta == 5 and desc == SPECIAL_PENTAGON
+
+
+def _holding_tags(p: ParameterSequence, labels: Cycle) -> set[FamilyTag]:
+    """Every family, active for p or not, that the label multiset belongs
+    to.  The best choice of size distinguished labels is the size largest,
+    so one descending prefix sum decides each inequality."""
+    desc = tuple(sorted(labels, reverse=True))
+    pre = list(accumulate(desc, initial=0))
+    total = pre[-1]
+    held = {
+        tag
+        for tag, _, size, bound in _inequalities(p, total, len(desc), 2 * desc[0] <= total)
+        if 2 * pre[size] - total > bound
+    }
+    if _is_special(p, desc):
+        held.add(FamilyTag.SPECIAL_5)
+    return held
 
 
 def is_forbidden(p: ParameterSequence, cycle: Cycle) -> bool:
@@ -126,8 +139,7 @@ def is_forbidden(p: ParameterSequence, cycle: Cycle) -> bool:
     cycle = tuple(cycle)
     if len(cycle) < 3:
         raise ValueError("a cycle has at least 3 edges")
-    tags = active_tags(p)
-    return any(_tag_holds(p, tag, cycle) for tag in tags)
+    return not _holding_tags(p, cycle).isdisjoint(active_tags(p))
 
 
 def _distinct_subsets(desc: Cycle, size: int) -> Iterator[Cycle]:
@@ -159,34 +171,13 @@ def classify_cycle(p: ParameterSequence, cycle: Cycle) -> list[FamilyWitness]:
     canon = canonical_cycle(cycle)
     desc = tuple(sorted(cycle, reverse=True))
     total = sum(desc)
-    ln = len(desc)
-    cm1 = p.c - 1
-    out: list[FamilyWitness] = []
-
-    for a in sorted(set(desc), reverse=True):
-        if 2 * a > total:
-            out.append(
-                FamilyWitness(canon, FamilyTag.NON_METRIC, 0, (a,), _remove(desc, (a,)))
-            )
-    if total % 2 == 1 and 2 * desc[0] <= total and total < 2 * p.k1:
-        out.append(FamilyWitness(canon, FamilyTag.K1_CYCLE, 0, (), desc))
-    if total % 2 == 1:
-        for n in range((ln - 2) // 2 + 1):
-            for d in _distinct_subsets(desc, 2 * n + 2):
-                if 2 * sum(d) - total > 2 * p.k2 + n * cm1:
-                    out.append(
-                        FamilyWitness(canon, FamilyTag.K2_CYCLE, n, d, _remove(desc, d))
-                    )
-    for n in range(1, (ln - 1) // 2 + 1):
-        for d in _distinct_subsets(desc, 2 * n + 1):
-            if 2 * sum(d) - total > n * cm1:
-                out.append(FamilyWitness(canon, FamilyTag.C_CYCLE, n, d, _remove(desc, d)))
-    parity_tag = FamilyTag.C0_CYCLE if total % 2 == 0 else FamilyTag.C1_CYCLE
-    cx = p.c0 if total % 2 == 0 else p.c1
-    for d in _distinct_subsets(desc, 3):
-        if 2 * sum(d) - total > cx - 1:
-            out.append(FamilyWitness(canon, parity_tag, 1, d, _remove(desc, d)))
-    if p.delta == 5 and canon == SPECIAL_PENTAGON:
+    out = [
+        FamilyWitness(canon, tag, n, d, _remove(desc, d))
+        for tag, n, size, bound in _inequalities(p, total, len(desc), 2 * desc[0] <= total)
+        for d in _distinct_subsets(desc, size)
+        if 2 * sum(d) - total > bound
+    ]
+    if _is_special(p, desc):
         out.append(FamilyWitness(canon, FamilyTag.SPECIAL_5, 2, SPECIAL_PENTAGON, ()))
     return sorted(out, key=lambda w: (w.tag.value, w.n, w.d_edges))
 
@@ -237,7 +228,7 @@ def _forbidden_multisets(p: ParameterSequence) -> Iterator[Cycle]:
     tags = active_tags(p)
     for length in range(3, walk_bound(p) + 1):
         for ms in combinations_with_replacement(range(1, p.delta + 1), length):
-            if any(_tag_holds(p, tag, ms) for tag in tags):
+            if not _holding_tags(p, ms).isdisjoint(tags):
                 yield ms
 
 
@@ -297,11 +288,17 @@ def find_witness(
         raise ValueError(f"graph labels exceed delta={p.delta}")
     tags = active_tags(p)
     weight, tables = _prefix_table(p)
-    adj = g.adjacency()
-    nbrs = [sorted(a.items()) for a in adj]
+    # Only vertices that carry an edge lie on a closed walk, so neither the
+    # neighbour lists nor the walk starts span all n vertices.
+    adj: dict[int, dict[int, int]] = {}
+    for (u, v), l in g.labels.items():
+        adj.setdefault(u, {})[v] = l
+        adj.setdefault(v, {})[u] = l
+    nbrs = {u: sorted(a.items()) for u, a in adj.items()}
+    starts = sorted(adj, reverse=True)
     for length in sorted(tables):
         prefixes, accepted = tables[length]
-        stack = [((v,), 0) for v in reversed(range(g.n))]
+        stack = [((v,), 0) for v in starts]
         while stack:
             path, key = stack.pop()
             last = path[-1]

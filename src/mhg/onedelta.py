@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .families import FamilyTag, _tag_holds, active_tags
+from .families import FamilyTag, _holding_tags, active_tags
 from .params import ParameterSequence
 
 TAG_SYMBOLS = {
@@ -55,8 +55,8 @@ def _cell_tag(
 ) -> FamilyTag | None:
     if i < 0 or j < 0 or i + j < 3:
         return None
-    labels = (p.delta,) * i + (1,) * j
-    return next((t for t in tags if _tag_holds(p, t, labels)), None)
+    held = _holding_tags(p, (p.delta,) * i + (1,) * j)
+    return next((t for t in tags if t in held), None)
 
 
 @dataclass(frozen=True)

@@ -302,11 +302,9 @@ def _spot_check(eng, rows_at, orc, magic_ok, wit_free, rng, spot) -> None:
     for i, row, row_filled, row_fb in zip(chosen, rows, filled, fb):
         g = eng.row_to_graph(row)
         done, trace = magic_complete(eng.ctx, g)
-        if not np.array_equal(eng.graph_to_row(done), row_filled):
+        if eng.row_to_graph(row_filled) != done:
             raise RuntimeError(f"engine disagreement (completion route) on {g!r}")
-        if {eng.pair_index[pr] for pr in trace.fallback_pairs} != set(
-            np.flatnonzero(row_fb).tolist()
-        ):
+        if {eng.pairs[q] for q in np.flatnonzero(row_fb)} != set(trace.fallback_pairs):
             raise RuntimeError(f"engine disagreement (fallback log) on {g!r}")
         if is_member(p, done) != bool(magic_ok[i]):
             raise RuntimeError(f"engine disagreement (membership route) on {g!r}")

@@ -441,6 +441,27 @@ def test_huge_n_refused(tmp_path, command):
     assert "vertices" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "edges, code, out",
+    [
+        ([], 0, "none"),
+        (
+            [[999999997, 999999998, 5], [999999998, 999999999, 5], [999999997, 999999999, 5]],
+            1,
+            "walk 999999997-999999998-999999999  cycle 5,5,5  C1 n=1",
+        ),
+    ],
+    ids=["empty", "triangle"],
+)
+def test_family_witness_huge_sparse_graph(tmp_path, edges, code, out):
+    """Only vertices that carry an edge lie on a closed walk, so a 10^9
+    vertex graph is answered without per-vertex work."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 1_000_000_000, "edges": edges}))
+    proc = run_python(["-m", "mhg", "family", "witness", str(path), "--params", *IIB], timeout=30)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.strip() == out
+
 def test_cli_does_not_import_numpy():
     code = (
         "import sys\n"

@@ -1,3 +1,4 @@
+import random
 import re
 from itertools import product
 
@@ -8,7 +9,7 @@ from mhg import oracle
 from mhg.cli import main
 from mhg.completion import magic_complete
 from mhg.engine import Engine
-from mhg.families import find_witness, is_forbidden
+from mhg.families import enumerate_forbidden, find_witness, is_forbidden
 from mhg.graphs import EdgeLabelledGraph, is_member
 from mhg.magic import default_context
 from mhg.oracle import BudgetExceededError, has_completion, verify_equivalence
@@ -53,14 +54,19 @@ def test_has_completion_rejects_large_labels():
         has_completion(P_III3, EdgeLabelledGraph(3, [(0, 1, 4)]))
 
 
+def lattice_index(eng: Engine, rows: np.ndarray) -> np.ndarray:
+    """Inverse of Engine.decode: the last pair is the fastest-varying digit."""
+    return np.ravel_multi_index(rows.T, (eng.base,) * eng.P)
+
+
 def test_engine_round_trips():
     eng = Engine(default_context(P_III3), 3)
     idx = np.arange(eng.size, dtype=np.int64)
     rows = eng.decode(idx)
     assert rows.shape == (64, 3)
-    assert np.array_equal(eng.encode(rows), idx)
+    assert np.array_equal(lattice_index(eng, rows), idx)
     g = eng.row_to_graph(rows[37])
-    assert np.array_equal(eng.graph_to_row(g), rows[37])
+    assert np.array_equal([g.label(u, v) or 0 for u, v in eng.pairs], rows[37])
 
 
 def test_engine_matches_scalar_routes_delta3_n3():
@@ -77,9 +83,8 @@ def test_engine_matches_scalar_routes_delta3_n3():
         g = eng.row_to_graph(rows[i])
         assert completable[i] == has_completion(P_III3, g), g
         done, trace = magic_complete(ctx, g)
-        assert np.array_equal(eng.graph_to_row(done), filled[i]), g
-        fset = {eng.pair_index[pr] for pr in trace.fallback_pairs}
-        assert fset == set(np.flatnonzero(fb[i]).tolist()), g
+        assert eng.row_to_graph(filled[i]) == done, g
+        assert {eng.pairs[q] for q in np.flatnonzero(fb[i])} == set(trace.fallback_pairs), g
         assert member[i] == is_member(P_III3, done), g
         assert obstructed[i] == (find_witness(P_III3, g) is not None), g
 
@@ -122,8 +127,8 @@ def test_engine_matches_scalar_routes_seeded_rows(p, n):
     idx = rng.integers(0, eng.size, size=k, dtype=np.int64)
     sparse = rng.integers(1, eng.base, size=(k, eng.P)) * (rng.random((k, eng.P)) >= 0.45)
     rows = np.concatenate([eng.decode(idx), sparse.astype(np.uint8)])
-    assert np.array_equal(eng.encode(rows[:k]), idx)
-    completable = eng.completable_lattice()[eng.encode(rows)]
+    assert np.array_equal(lattice_index(eng, rows[:k]), idx)
+    completable = eng.completable_lattice()[lattice_index(eng, rows)]
     filled, fb = eng.complete_batch(rows)
     member = eng.member_batch(filled)
     obstructed = eng.obstruction_batch(rows)
@@ -131,12 +136,52 @@ def test_engine_matches_scalar_routes_seeded_rows(p, n):
         g = eng.row_to_graph(row)
         assert completable[i] == has_completion(p, g), g
         done, trace = magic_complete(ctx, g)
-        assert np.array_equal(eng.graph_to_row(done), filled[i]), g
-        fset = {eng.pair_index[pr] for pr in trace.fallback_pairs}
-        assert fset == set(np.flatnonzero(fb[i]).tolist()), g
+        assert eng.row_to_graph(filled[i]) == done, g
+        assert {eng.pairs[q] for q in np.flatnonzero(fb[i])} == set(trace.fallback_pairs), g
         assert member[i] == is_member(p, done), g
         assert obstructed[i] == (find_witness(p, g) is not None), g
 
+
+def test_forbidden_cycles_are_obstructions_on_every_route():
+    """Soundness of F(p) on all five routes: every member of
+    enumerate_forbidden(p), for each admissible tuple with delta <= 5, drawn
+    as a cycle graph with its labels rotated by one and its vertices
+    shuffled, so no walk starts at vertex 0 with the canonical word.  The
+    engine routes run on one batch per cycle length."""
+    rng = random.Random(20180815)
+    params = [p for delta in range(3, 6) for p in enumerate_admissible(delta)]
+    assert len(params) == 63
+    members = 0
+    for p in params:
+        ctx = default_context(p)
+        by_length: dict[int, list[EdgeLabelledGraph]] = {}
+        for cycle in enumerate_forbidden(p):
+            k = len(cycle)
+            labels = cycle[1:] + cycle[:1]
+            perm = list(range(k))
+            rng.shuffle(perm)
+            g = EdgeLabelledGraph(k, [(perm[i], perm[(i + 1) % k], labels[i]) for i in range(k)])
+            assert not has_completion(p, g), (p, g)
+            assert find_witness(p, g) is not None, (p, g)
+            assert not is_member(p, magic_complete(ctx, g)[0]), (p, g)
+            by_length.setdefault(k, []).append(g)
+            members += 1
+        for k, graphs in by_length.items():
+            eng = Engine(ctx, k)
+            rows = np.array([[g.label(u, v) or 0 for u, v in eng.pairs] for g in graphs], dtype=np.uint8)
+            assert eng.obstruction_batch(rows).all(), (p, k)
+            assert not eng.member_batch(eng.complete_batch(rows)[0]).any(), (p, k)
+    assert members == 916
+
+
+def test_verify_counts_skipped_search_spot_checks(monkeypatch):
+    """A spot-checked graph whose search outgrows the node budget is skipped
+    and counted, and the run still passes."""
+    monkeypatch.setattr(oracle, "_SPOT_BUDGET", 1)
+    report = verify_equivalence(P_III3, 4)
+    assert report.ok
+    assert report.spot_checks["search_skipped"] > 0
+    assert report.stats["search_skipped"] == report.spot_checks["search_skipped"]
 
 @pytest.mark.parametrize(
     "p, n_max, kwargs",
