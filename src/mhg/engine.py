@@ -4,12 +4,15 @@ Labellings of the complete graph on n vertices live on a lattice with one
 axis per vertex pair and base delta + 1; digit 0 marks a blank pair.  The
 completability transform computes, for every point of the lattice at once,
 whether some filling of the blanks yields a graph all of whose triangles are
-allowed.  Batched counterparts of the magic completion, of membership and of
-the obstruction scan operate on uint8 arrays of lattice rows.  Each is a
-gather through an index array built once per Engine (the two partner pairs
-of every pair and third vertex; the three pairs of every triangle), a lookup
-of the gathered labels in a flattened table, and one reduce; the verifier
-streams a lattice through them in fixed-size chunks.  F(p) is read once
+allowed; exhaustive verification reads it.  Sampled verification builds no
+lattice: completable_batch answers the same question for the drawn rows, a
+greedy filling certifying most of them and an exact breadth-first frontier
+deciding the rest.  Batched counterparts of the magic completion, of
+membership and of the obstruction scan operate on uint8 arrays of lattice
+rows.  Each is a gather through an index array built once per Engine (the
+two partner pairs of every pair and third vertex; the three pairs of every
+triangle), a lookup of the gathered labels in a flattened table, and one
+reduce; the verifier streams rows through them in fixed-size chunks.  F(p) is read once
 per Engine: its triangles fill forb3, and its longer cycles are the words
 of a transfer-matrix scan, one boolean matmul per letter over the rows'
 (n, n) label matrices.  complete_graph and first_violating_graph run the
@@ -137,6 +140,46 @@ class Engine:
             v = np.moveaxis(H, q, 0)
             np.any(v[1:], axis=0, out=v[0])
         return H.reshape(-1)
+
+    def completable_batch(self, rows: np.ndarray) -> np.ndarray:
+        """completable_lattice read at the given rows, without the lattice.
+        Rows with a disallowed labelled triangle drop out.  A greedy pass
+        fills each blank pair, in lexicographic order, with the least label
+        that allowed3 accepts against every triangle through it whose other
+        two pairs are labelled or filled; a row it fills completely is
+        completable, its filling the certificate.  Rows where it gets stuck
+        go to an exact breadth-first frontier, which expands each blank pair
+        by every such label and retires a row as soon as one of its
+        children has no blanks left."""
+        fits = self.allowed3.reshape(self.base**2, self.base)
+
+        def labels_at(X: np.ndarray, q: int) -> np.ndarray:
+            """(len(X), base) mask of the labels allowed at pair q."""
+            ok = fits[self._codes(X[:, self.partners[q]])].all(axis=1)
+            ok[:, 0] = False
+            return ok
+
+        out = self.allowed3.reshape(-1)[self._codes(rows[:, self.triangles])].all(axis=1)
+        live = np.flatnonzero(out)
+        X = rows[live]
+        for q in range(self.P):
+            blank = np.flatnonzero(X[:, q] == 0)
+            # argmax is the least allowed label, and 0 where none is.
+            X[blank, q] = labels_at(X[blank], q).argmax(axis=1)
+        stuck = live[(X == 0).any(axis=1)]
+        F, owner = rows[stuck], np.arange(stuck.size)
+        done = np.zeros(stuck.size, dtype=bool)
+        for q in range(self.P):
+            blank = F[:, q] == 0
+            parent, label = np.nonzero(labels_at(F[blank], q))
+            kids = F[blank][parent]
+            kids[:, q] = label
+            F = np.concatenate([F[~blank], kids])
+            owner = np.concatenate([owner[~blank], owner[blank][parent]])
+            done[owner[(F[:, q + 1 :] != 0).all(axis=1)]] = True
+            F, owner = F[~done[owner]], owner[~done[owner]]
+        out[stuck] = done
+        return out
 
     def _codes(self, labels: np.ndarray) -> np.ndarray:
         """Pack the last axis of a gathered label array into one code per

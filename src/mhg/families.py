@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import enum
 import functools
+from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, combinations, combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 from typing import Iterator
 
 from .graphs import EdgeLabelledGraph, canonical_cycle
@@ -142,13 +143,18 @@ def is_forbidden(p: ParameterSequence, cycle: Cycle) -> bool:
     return not _holding_tags(p, cycle).isdisjoint(active_tags(p))
 
 
-def _distinct_subsets(desc: Cycle, size: int) -> Iterator[Cycle]:
-    """Distinct sub-multisets of the given size, as descending tuples."""
-    seen = set()
-    for comb in combinations(desc, size):
-        if comb not in seen:
-            seen.add(comb)
-            yield comb
+def _distinct_subsets(desc: Cycle) -> dict[int, list[Cycle]]:
+    """The distinct sub-multisets of the descending labels, by size, as
+    descending tuples.  They are built from the label counts, so the work
+    follows their number, not the number of position sets."""
+    subsets = [()]
+    # Counter keeps first-seen order, which is descending here.
+    for label, count in Counter(desc).items():
+        subsets = [s + (label,) * t for s in subsets for t in range(count + 1)]
+    by_size: dict[int, list[Cycle]] = {}
+    for s in subsets:
+        by_size.setdefault(len(s), []).append(s)
+    return by_size
 
 
 def _remove(desc: Cycle, part: Cycle) -> Cycle:
@@ -171,10 +177,11 @@ def classify_cycle(p: ParameterSequence, cycle: Cycle) -> list[FamilyWitness]:
     canon = canonical_cycle(cycle)
     desc = tuple(sorted(cycle, reverse=True))
     total = sum(desc)
+    subsets = _distinct_subsets(desc)
     out = [
         FamilyWitness(canon, tag, n, d, _remove(desc, d))
         for tag, n, size, bound in _inequalities(p, total, len(desc), 2 * desc[0] <= total)
-        for d in _distinct_subsets(desc, size)
+        for d in subsets.get(size, ())
         if 2 * sum(d) - total > bound
     ]
     if _is_special(p, desc):

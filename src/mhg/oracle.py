@@ -1,13 +1,14 @@
 """Brute-force completion search and the equivalence verifier.
 
 has_completion answers by depth-first search over fillings with triangle
-pruning; it is the slow reference the lattice transform is checked against.
-verify_equivalence runs three routes over edge-labelled graphs: search for
-any valid completion, scan for obstruction cycles, run the magic completion
-and test membership.  The characterization under test says the three agree
-on every graph.  Reported mismatches are always re-verified with the scalar
-routines first; a scalar result contradicting the vectorized one is an
-internal error, never a finding.
+pruning; it is the slow reference the engine's search route is checked
+against.  verify_equivalence runs three routes over edge-labelled graphs:
+search for any valid completion (the whole lattice in exhaustive mode, the
+batch search on the drawn rows in sampled mode), scan for obstruction
+cycles, run the magic completion and test membership.  The characterization
+under test says the three agree on every graph.  Reported mismatches are
+always re-verified with the scalar routines first; a scalar result
+contradicting the vectorized one is an internal error, never a finding.
 
 Graphs on fewer than 3 vertices are vacuous for all three routes and are
 not enumerated.
@@ -28,14 +29,17 @@ _EXAMPLE_CAP = 20
 _FALLBACK_CAP = 5
 # Lattice points per n.  An exhaustive run holds the lattice and, per row, a
 # witness-free and a magic-ok verdict: one byte each, so 600 MB at the cap.
-# A sampled run holds the lattice (200 MB) and 8 + 3 bytes per sampled row.
+# A sampled run builds no lattice; it holds 8 index bytes and 3 verdict bytes
+# per sampled row, within the same 600 MB.  The cap still bounds n there,
+# since the batch search frontier has no per-row cap.
 _LATTICE_CAP = 200_000_000
+_SAMPLE_ROW_BYTES = 8 + 3
 # Rows per engine batch; the working set of a batch is a few MB.
 _CHUNK_ROWS = 1 << 16
 # Search nodes per spot-checked graph; one that needs more is skipped.
 _SPOT_BUDGET = 2_000_000
 # Keys of EquivalenceReport.stats["seconds"].
-_LAYERS = ("lattice", "decode", "complete", "member", "obstruction", "spot_check")
+_LAYERS = ("search", "decode", "complete", "member", "obstruction", "spot_check")
 
 
 class BudgetExceededError(RuntimeError):
@@ -158,14 +162,18 @@ def verify_equivalence(
     n_max vertices when sample is given.
 
     Rows go through the engine in chunks of _CHUNK_ROWS lattice indices.
-    Per n only one byte per row is kept for each of the witness-free and
-    magic verdicts; the few rows that a spot check or an example needs are
+    The search verdict is the lattice in exhaustive mode; in sampled mode
+    no lattice is built, and each chunk's verdicts come from the batch
+    search on the rows it decoded.  Per n only one byte per row is kept for
+    each verdict; the few rows that a spot check or an example needs are
     decoded again on demand.
     """
     if n_max < 3:
         raise ValueError("n_max must be at least 3")
     if sample is not None and sample < 1:
         raise ValueError("sample must be at least 1")
+    if sample is not None and sample * _SAMPLE_ROW_BYTES > 3 * _LATTICE_CAP:
+        raise BudgetExceededError(f"sample of {sample} rows needs over {3 * _LATTICE_CAP} bytes")
     # numpy loads here, not at import: the CLI commands that never verify
     # start without it.
     import numpy as np
@@ -194,19 +202,18 @@ def verify_equivalence(
     for n in [n_max] if sample is not None else range(3, n_max + 1):
         eng = Engine(ctx, n)
         if eng.size > _LATTICE_CAP:
-            raise BudgetExceededError(f"lattice for n={n} has {eng.size} points; use sampling")
-        points += eng.size
-        completable = timed("lattice", eng.completable_lattice)
+            hint = "use sampling" if sample is None else f"sampled mode caps it at {_LATTICE_CAP}"
+            raise BudgetExceededError(f"lattice for n={n} has {eng.size} points; {hint}")
         if sample is None:
             # Row i is lattice point i, so the lattice is the search verdict.
             idx = None
             total = eng.size
-            orc = completable
+            points += eng.size
+            orc = timed("search", eng.completable_lattice)
         else:
             idx = rng.integers(0, eng.size, size=sample, dtype=np.int64)
             total = sample
-            orc = completable[idx]
-            del completable
+            orc = np.empty(total, dtype=bool)
         wit_free = np.empty(total, dtype=bool)
         magic_ok = np.empty(total, dtype=bool)
 
@@ -219,6 +226,8 @@ def verify_equivalence(
             filled, fb = timed("complete", eng.complete_batch, rows)
             magic_ok[lo:hi] = timed("member", eng.member_batch, filled)
             wit_free[lo:hi] = ~timed("obstruction", eng.obstruction_batch, rows)
+            if idx is not None:
+                orc[lo:hi] = timed("search", eng.completable_batch, rows)
             chunks += 1
             fb_any = fb.any(axis=1)
             fb_graphs += int(fb_any.sum())

@@ -1,8 +1,8 @@
 """Acceptance suite: seven criteria, one test and one summary line each.
 
 Criterion 2 drives the heavy sweeps; its reports are shared with criterion 3
-through a session fixture.  The whole file took 78 s on a 2-core Xeon
-sandbox with Python 3.11 and numpy 2.4 (the full tier-1 run: 132 s).
+through a session fixture.  The whole file took 26 s on a 2-core Xeon
+with Python 3.11 and numpy 2.4 (the full tier-1 run: 78 s).
 """
 
 from itertools import product

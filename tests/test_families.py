@@ -4,6 +4,8 @@ from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
+from conftest import run_python
+from mhg import families
 from mhg.families import (
     SPECIAL_PENTAGON,
     FamilyTag,
@@ -161,6 +163,39 @@ def test_classify_witnesses_all_valid():
                 for w in classify_cycle(p, ms):
                     check_witness(p, w)
                     assert w.cycle == canonical_cycle(ms)
+
+
+def combinations_subsets(desc):
+    """Distinct sub-multisets by size, from every position set."""
+    return {size: list(dict.fromkeys(combinations(desc, size))) for size in range(len(desc) + 1)}
+
+
+def test_classify_matches_position_set_reference(monkeypatch):
+    """classify_cycle, whose sub-multisets come from label counts, equals
+    the same decomposition list built from position sets, on every multiset
+    of 3 to 8 labels for each admissible tuple with delta <= 5."""
+    params = [p for delta in range(3, 6) for p in enumerate_admissible(delta)]
+    multisets = {
+        delta: [ms for k in range(3, 9) for ms in combinations_with_replacement(range(1, delta + 1), k)]
+        for delta in range(3, 6)
+    }
+    got = {(p, ms): classify_cycle(p, ms) for p in params for ms in multisets[p.delta]}
+    monkeypatch.setattr(families, "_distinct_subsets", combinations_subsets)
+    for (p, ms), witnesses in got.items():
+        assert witnesses == classify_cycle(p, ms), (p.as_tuple(), ms)
+
+
+@pytest.mark.parametrize("cycle", [[5] * 30, [1, 2, 3, 4, 5] * 6], ids=["30-fives", "1-to-5-x6"])
+def test_classify_long_cycle_is_fast(cycle):
+    """A 30-edge cycle has C(30, 15) position sets of one size but few
+    distinct sub-multisets; classifying it must not walk the former."""
+    labels = ",".join(map(str, cycle))
+    proc = run_python(
+        ["-m", "mhg", "family", "classify", "--params", *map(str, P_IIB.as_tuple()), "--cycle", labels],
+        timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"cycle {labels}  forbidden: no"
 
 
 def test_is_forbidden_matches_decompositions():

@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from conftest import run_python
 from mhg import oracle
 from mhg.cli import main
 from mhg.completion import magic_complete
@@ -89,6 +90,17 @@ def test_engine_matches_scalar_routes_delta3_n3():
         assert obstructed[i] == (find_witness(P_III3, g) is not None), g
 
 
+def test_completable_batch_matches_lattice_all_n4():
+    """The batch search against the lattice on every n = 4 lattice point of
+    each admissible tuple with delta <= 5."""
+    params = [p for delta in range(3, 6) for p in enumerate_admissible(delta)]
+    assert len(params) == 63
+    for p in params:
+        eng = Engine(default_context(p), 4)
+        rows = eng.decode(np.arange(eng.size, dtype=np.int64))
+        assert np.array_equal(eng.completable_batch(rows), eng.completable_lattice()), p
+
+
 def test_engine_forb3_matches_is_forbidden():
     """forb3, filled from the triangles of enumerate_forbidden, against
     is_forbidden on every label triple; label 0 (a blank pair) is never
@@ -129,12 +141,13 @@ def test_engine_matches_scalar_routes_seeded_rows(p, n):
     rows = np.concatenate([eng.decode(idx), sparse.astype(np.uint8)])
     assert np.array_equal(lattice_index(eng, rows[:k]), idx)
     completable = eng.completable_lattice()[lattice_index(eng, rows)]
+    searched = eng.completable_batch(rows)
     filled, fb = eng.complete_batch(rows)
     member = eng.member_batch(filled)
     obstructed = eng.obstruction_batch(rows)
     for i, row in enumerate(rows):
         g = eng.row_to_graph(row)
-        assert completable[i] == has_completion(p, g), g
+        assert completable[i] == searched[i] == has_completion(p, g), g
         done, trace = magic_complete(ctx, g)
         assert eng.row_to_graph(filled[i]) == done, g
         assert {eng.pairs[q] for q in np.flatnonzero(fb[i])} == set(trace.fallback_pairs), g
@@ -143,7 +156,7 @@ def test_engine_matches_scalar_routes_seeded_rows(p, n):
 
 
 def test_forbidden_cycles_are_obstructions_on_every_route():
-    """Soundness of F(p) on all five routes: every member of
+    """Soundness of F(p) on all six routes: every member of
     enumerate_forbidden(p), for each admissible tuple with delta <= 5, drawn
     as a cycle graph with its labels rotated by one and its vertices
     shuffled, so no walk starts at vertex 0 with the canonical word.  The
@@ -169,6 +182,7 @@ def test_forbidden_cycles_are_obstructions_on_every_route():
         for k, graphs in by_length.items():
             eng = Engine(ctx, k)
             rows = np.array([[g.label(u, v) or 0 for u, v in eng.pairs] for g in graphs], dtype=np.uint8)
+            assert not eng.completable_batch(rows).any(), (p, k)
             assert eng.obstruction_batch(rows).all(), (p, k)
             assert not eng.member_batch(eng.complete_batch(rows)[0]).any(), (p, k)
     assert members == 916
@@ -211,7 +225,7 @@ def test_verify_stats_keys():
         "search_skipped",
     }
     assert set(stats["seconds"]) == {
-        "lattice",
+        "search",
         "decode",
         "complete",
         "member",
@@ -226,6 +240,15 @@ def test_verify_stats_keys():
     assert stats["completable_fraction"] == completable / 4160
     assert stats["search_skipped"] == report.spot_checks["search_skipped"]
     assert "stats" not in report.to_json_obj()
+
+
+def test_verify_stats_sampled_builds_no_lattice():
+    """Sampled mode answers the search route from the drawn rows alone."""
+    report = verify_equivalence(P_IIB, 5, sample=400, seed=11)
+    stats = report.stats
+    assert stats["lattice_points"] == 0
+    assert stats["rows_checked"] == report.graphs_checked == 400
+    assert stats["seconds"]["search"] > 0
 
 
 def test_verify_exhaustive_frozen():
@@ -287,26 +310,31 @@ def _flip_completion(out):
     return filled, fb
 
 
-# One engine stage per route, and a wrapper that turns its verdict around.
+# One engine stage per route, a wrapper that turns its verdict around, and
+# the sample size of the run (None: exhaustive).  The search route has a
+# stage per mode; the text before a comma names the route.
 ENGINE_FLIPS = {
-    "search route": ("completable_lattice", np.logical_not),
-    "completion route": ("complete_batch", _flip_completion),
-    "fallback log": ("complete_batch", lambda out: (out[0], ~out[1])),
-    "membership route": ("member_batch", np.logical_not),
-    "obstruction route": ("obstruction_batch", np.logical_not),
+    "search route": ("completable_lattice", np.logical_not, None),
+    "search route, sampled": ("completable_batch", np.logical_not, 50),
+    "completion route": ("complete_batch", _flip_completion, None),
+    "fallback log": ("complete_batch", lambda out: (out[0], ~out[1]), None),
+    "membership route": ("member_batch", np.logical_not, None),
+    "obstruction route": ("obstruction_batch", np.logical_not, None),
 }
 
 
-@pytest.mark.parametrize("route", list(ENGINE_FLIPS))
-def test_engine_disagreement_is_internal_error(monkeypatch, capsys, route):
+@pytest.mark.parametrize("case", list(ENGINE_FLIPS))
+def test_engine_disagreement_is_internal_error(monkeypatch, capsys, case):
     """A vectorized stage that contradicts its scalar reference stops the
     run with an error naming the route; it is never reported as a finding."""
-    name, flip = ENGINE_FLIPS[route]
+    name, flip, sample = ENGINE_FLIPS[case]
+    route = case.partition(",")[0]
     stage = getattr(Engine, name)
     monkeypatch.setattr(Engine, name, lambda self, *args: flip(stage(self, *args)))
     with pytest.raises(RuntimeError, match=re.escape(f"engine disagreement ({route})")):
-        verify_equivalence(P_III3, 3)
-    assert main(["verify", "--params", "3", "1", "3", "10", "9", "--n-max", "3"]) == 3
+        verify_equivalence(P_III3, 3, sample=sample)
+    argv = ["verify", "--params", "3", "1", "3", "10", "9", "--n-max", "3"]
+    assert main(argv + (["--sample", str(sample)] if sample else [])) == 3
     assert f"({route})" in capsys.readouterr().err
 
 
@@ -340,3 +368,30 @@ def test_verify_refuses_lattice_above_cap(monkeypatch, capsys):
         verify_equivalence(P_III3, 4)
     assert main(["verify", "--params", "3", "1", "3", "10", "9", "--n-max", "4"]) == 2
     assert "use sampling" in capsys.readouterr().err
+    # Sampled mode builds no lattice, but still refuses that n.
+    with pytest.raises(BudgetExceededError, match="n=4"):
+        verify_equivalence(P_III3, 4, sample=1)
+    assert main(["verify", "--params", "3", "1", "3", "10", "9", "--n-max", "4", "--sample", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "n=4" in err and "use sampling" not in err
+
+
+def test_verify_refuses_sample_above_memory_budget(monkeypatch):
+    """8 index bytes and 3 verdict bytes per sampled row must fit in the 3
+    bytes per point that the lattice cap allows an exhaustive run."""
+    monkeypatch.setattr(oracle, "_LATTICE_CAP", 1100)  # 3,300 bytes: 300 rows
+    assert verify_equivalence(P_III3, 3, sample=300, seed=1).graphs_checked == 300
+    with pytest.raises(BudgetExceededError, match="sample of 301 rows"):
+        verify_equivalence(P_III3, 3, sample=301, seed=1)
+
+
+def test_verify_cli_refuses_huge_sample():
+    """A 10^9-row sample (11 GB of rows and verdicts) exits 2 at once in a
+    fresh process, instead of failing in numpy's allocator."""
+    proc = run_python(
+        ["-m", "mhg", "verify", "--params", "3", "1", "3", "10", "9", "--n-max", "4", "--sample", "1000000000"],
+        timeout=30,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "sample" in proc.stderr
