@@ -12,12 +12,12 @@ membership and of the obstruction scan operate on uint8 arrays of lattice
 rows.  Each is a gather through an index array built once per Engine (the
 two partner pairs of every pair and third vertex; the three pairs of every
 triangle), a lookup of the gathered labels in a flattened table, and one
-reduce; the verifier streams rows through them in fixed-size chunks.  F(p) is read once
-per Engine: its triangles fill forb3, and its longer cycles are the words
-of a transfer-matrix scan, one boolean matmul per letter over the rows'
-(n, n) label matrices.  complete_graph and first_violating_graph run the
-completion and membership routes on one graph held as an (n, n) label
-matrix, for graphs too large for the pure-Python references.
+reduce; the verifier streams rows through them in fixed-size chunks.  F(p)
+is read once per Engine: its triangles fill forb3, and its longer cycles
+form a trie of words, scanned by bit-parallel products of adjacency
+bitmasks shared across prefixes.  complete_graph and first_violating_graph
+run the completion and membership routes on one graph held as an (n, n)
+label matrix, for graphs too large for the pure-Python references.
 
 The scalar routines in completion, families and oracle stay the reference
 implementations; the verifier cross-checks sampled rows against them and
@@ -57,8 +57,8 @@ class Engine:
     lexicographic order."""
 
     def __init__(self, ctx: MagicContext, n: int):
-        if n < 3:
-            raise ValueError("need at least 3 vertices")
+        if not 3 <= n <= 64:
+            raise ValueError(f"need 3 to 64 vertices (an adjacency bitmask is at most a uint64), not {n}")
         self.ctx = ctx
         self.p = ctx.params
         self.n = n
@@ -76,6 +76,12 @@ class Engine:
             [[(pair(u, z), pair(v, z)) for z in range(n) if z != u and z != v] for u, v in self.pairs],
             dtype=np.intp,
         )
+        # nbrs[u, k] = the pair (u, v) for the k-th vertex v != u, and
+        # nbr_bits[u, k] = 1 << v: one gather through nbrs turns a label into
+        # (B, n) row bitmasks of its adjacency.
+        self.nbrs = np.array([[pair(u, v) for v in range(n) if v != u] for u in range(n)], dtype=np.intp)
+        self.bit_dtype = np.min_scalar_type(1 << (n - 1))
+        self.nbr_bits = np.array([[1 << v for v in range(n) if v != u] for u in range(n)], self.bit_dtype)
         # Pair indices of each triangle come out sorted because the pair list
         # is lexicographic; the reshape in completable_lattice relies on that.
         self.triangles = np.array(
@@ -96,7 +102,12 @@ class Engine:
             if len(t) == 3:
                 for a, b, c in permutations(t):
                     self.forb3[a, b, c] = True
-        self.words = [w for w in forbidden if len(w) >= 4]
+        self.words = {w for w in forbidden if len(w) >= 4}
+        # The trie over the words: the labels that extend each proper prefix.
+        self.next_labels: dict[tuple[int, ...], set[int]] = {}
+        for w in self.words:
+            for k in range(len(w)):
+                self.next_labels.setdefault(w[:k], set()).add(w[k])
 
     def _allowed_table(self) -> np.ndarray:
         """allowed3[a, b, c]: triangle with those labels is allowed.  Entries
@@ -226,27 +237,35 @@ class Engine:
         return bad
 
     def _word_scan(self, rows: np.ndarray) -> np.ndarray:
-        """Closed-walk detection by transfer matrices on symmetric (n, n)
-        label matrices (0 on blank pairs and the diagonal): a walk labelled
-        w exists iff the product of the masks sub == l for l in w, with
-        numpy's bool matmul (OR of ANDs), has a True diagonal entry.  That
-        is invariant under rotating and reversing w, so one canonical word
-        per cycle suffices."""
-        # triu_indices lists the pairs in the rows' lexicographic order.
-        iu, ju = np.triu_indices(self.n, 1)
-        mats = np.zeros((rows.shape[0], self.n, self.n), dtype=rows.dtype)
-        mats[:, iu, ju] = rows
-        mats[:, ju, iu] = rows
+        """Closed walks on row bitmasks: bit v of adj[l][b, u] is set iff row
+        b labels the pair (u, v) with l.  A walk labelled w exists iff the
+        product of adj[l] for l in w (OR of ANDs, n shift-mask-OR steps per
+        letter, after Arlazarov, Dinic, Kronrod and Faradzev) has bit u set in
+        row u; rotating or reversing w keeps that, so one canonical word per
+        cycle suffices.  A depth-first trie walk shares each prefix's product
+        among its words (after Aho and Corasick) and drops a row once its
+        product is zero or a word is found in it."""
+        gathered = rows[:, self.nbrs]
+        adj = [((gathered == l) * self.nbr_bits).sum(axis=2, dtype=self.bit_dtype) for l in range(self.base)]
         found = np.zeros(rows.shape[0], dtype=bool)
-        for w in self.words:
-            alive = np.flatnonzero(~found)
-            if alive.size == 0:
-                break
-            sub = mats[alive]
-            m = sub == w[0]
-            for l in w[1:]:
-                m = np.matmul(m, sub == l)
-            found[alive[m.diagonal(axis1=1, axis2=2).any(axis=1)]] = True
+        stack = [((l,), adj[l], np.arange(rows.shape[0])) for l in self.next_labels[()]]
+        while stack:
+            prefix, prod, idx = stack.pop()
+            keep = ~found[idx]
+            prod, idx = prod[keep], idx[keep]
+            for l in self.next_labels[prefix]:
+                letter, w = adj[l][idx], prefix + (l,)
+                if w in self.words:
+                    # Bit u of row u of the product: letter is symmetric, so
+                    # it is set iff rows u of prod and of letter share a bit.
+                    found[idx[(prod & letter).any(axis=1)]] = True
+                if w in self.next_labels:
+                    out = np.zeros_like(letter)
+                    for v in range(self.n):
+                        # Rows u whose product reaches v gain v's neighbours.
+                        out |= -((prod >> v) & 1) & letter[:, v, None]
+                    alive = out.any(axis=1)
+                    stack.append((w, out[alive], idx[alive]))
         return found
 
 

@@ -174,6 +174,13 @@ def verify_equivalence(
         raise ValueError("sample must be at least 1")
     if sample is not None and sample * _SAMPLE_ROW_BYTES > 3 * _LATTICE_CAP:
         raise BudgetExceededError(f"sample of {sample} rows needs over {3 * _LATTICE_CAP} bytes")
+    # The lattice grows with n, so n_max decides, before any Engine (whose
+    # tables grow as n^3) or any smaller n is run.  base**64 is above any
+    # cap, so base**P is never formed or printed.
+    base, P = p.delta + 1, n_max * (n_max - 1) // 2
+    if base ** min(P, 64) > _LATTICE_CAP:
+        hint = "use sampling" if sample is None else "sampled mode caps it"
+        raise BudgetExceededError(f"lattice for n={n_max} has {base}^{P} points, over {_LATTICE_CAP}; {hint}")
     # numpy loads here, not at import: the CLI commands that never verify
     # start without it.
     import numpy as np
@@ -201,9 +208,6 @@ def verify_equivalence(
 
     for n in [n_max] if sample is not None else range(3, n_max + 1):
         eng = Engine(ctx, n)
-        if eng.size > _LATTICE_CAP:
-            hint = "use sampling" if sample is None else f"sampled mode caps it at {_LATTICE_CAP}"
-            raise BudgetExceededError(f"lattice for n={n} has {eng.size} points; {hint}")
         if sample is None:
             # Row i is lattice point i, so the lattice is the search verdict.
             idx = None

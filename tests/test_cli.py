@@ -442,6 +442,27 @@ def test_huge_n_refused(tmp_path, command):
 
 
 @pytest.mark.parametrize(
+    "n_max, sample, hint",
+    [
+        ("300", ["--sample", "10"], "sampled mode caps it"),
+        ("1000", ["--sample", "10"], "sampled mode caps it"),
+        ("6", [], "use sampling"),
+    ],
+    ids=["sampled-300", "sampled-1000", "exhaustive-6"],
+)
+def test_verify_huge_n_refused(n_max, sample, hint):
+    """The lattice size of n_max is checked before any Engine is built or
+    any smaller n is run: at n = 1,000 the engine's tables alone exhaust
+    memory, at n = 300 the point count has more digits than Python will
+    print, and an exhaustive run would first spend minutes on n = 5."""
+    proc = run_python(["-m", "mhg", "verify", "--params", *IIB, "--n-max", n_max, *sample], timeout=2)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert f"lattice for n={n_max} has 6^" in proc.stderr
+    assert f"points, over 200000000; {hint}" in proc.stderr
+
+
+@pytest.mark.parametrize(
     "edges, code, out",
     [
         ([], 0, "none"),

@@ -10,7 +10,7 @@ from mhg import oracle
 from mhg.cli import main
 from mhg.completion import magic_complete
 from mhg.engine import Engine
-from mhg.families import enumerate_forbidden, find_witness, is_forbidden
+from mhg.families import enumerate_forbidden, find_witness, is_forbidden, walk_bound
 from mhg.graphs import EdgeLabelledGraph, is_member
 from mhg.magic import default_context
 from mhg.oracle import BudgetExceededError, has_completion, verify_equivalence
@@ -153,6 +153,46 @@ def test_engine_matches_scalar_routes_seeded_rows(p, n):
         assert {eng.pairs[q] for q in np.flatnonzero(fb[i])} == set(trace.fallback_pairs), g
         assert member[i] == is_member(p, done), g
         assert obstructed[i] == (find_witness(p, g) is not None), g
+
+
+@pytest.mark.parametrize("t", [(5, 1, 5, 12, 13), (5, 4, 4, 16, 15)])
+@pytest.mark.parametrize("n", [6, 7, 8, 9])
+def test_obstruction_batch_matches_find_witness_triangle_free(t, n):
+    """The word scan against find_witness where only cycles of 4 to 9
+    edges can obstruct: seeded rows, each pair blank with probability 0.6,
+    keeping those without a forbidden triangle.  Walks reach length 9 under
+    both tuples, and the adjacency bitmasks widen from uint8 at n = 8 to
+    uint16 at n = 9."""
+    p = ParameterSequence(*t)
+    assert walk_bound(p) == 9
+    eng = Engine(default_context(p), n)
+    rng = np.random.default_rng(n * 1000 + sum(t))
+    k = 2000
+    rows = (rng.integers(1, eng.base, size=(k, eng.P)) * (rng.random((k, eng.P)) >= 0.6)).astype(np.uint8)
+    rows = rows[~eng.forb3.reshape(-1)[eng._codes(rows[:, eng.triangles])].any(axis=1)][:200]
+    assert len(rows) == 200
+    obstructed = eng.obstruction_batch(rows)
+    want = [find_witness(p, eng.row_to_graph(row)) is not None for row in rows]
+    assert obstructed.tolist() == want
+    assert 0 < obstructed.sum() < len(rows)
+
+
+def test_word_scan_top_bit_at_64_vertices():
+    """At n = 64 the adjacency bitmasks are uint64 and vertex 63 is the top
+    bit: the all-5 pentagon through it is found, and a path of four 5-edges
+    is not.  Past 64 vertices the engine refuses."""
+    ctx = default_context(P_IIB)
+    eng = Engine(ctx, 64)
+    assert eng.bit_dtype == np.uint64
+    cycle = [59, 60, 61, 62, 63]
+    rows = np.zeros((2, eng.P), dtype=np.uint8)
+    for i in range(5):
+        rows[0, eng.pairs.index(tuple(sorted((cycle[i], cycle[i - 1]))))] = 5
+    rows[1] = rows[0]
+    rows[1, eng.pairs.index((59, 63))] = 0
+    assert eng.obstruction_batch(rows).tolist() == [True, False]
+    with pytest.raises(ValueError, match="64 vertices"):
+        Engine(ctx, 65)
 
 
 def test_forbidden_cycles_are_obstructions_on_every_route():
