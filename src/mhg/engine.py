@@ -8,16 +8,16 @@ allowed; exhaustive verification reads it.  Sampled verification builds no
 lattice: completable_batch answers the same question for the drawn rows, a
 greedy filling certifying most of them and an exact breadth-first frontier
 deciding the rest.  Batched counterparts of the magic completion, of
-membership and of the obstruction scan operate on uint8 arrays of lattice
-rows.  Each is a gather through an index array built once per Engine (the
-two partner pairs of every pair and third vertex; the three pairs of every
-triangle), a lookup of the gathered labels in a flattened table, and one
-reduce; the verifier streams rows through them in fixed-size chunks.  F(p)
-is read once per Engine: its triangles fill forb3, and its longer cycles
-form a trie of words, scanned by bit-parallel products of adjacency
-bitmasks shared across prefixes.  complete_graph and first_violating_graph
-run the completion and membership routes on one graph held as an (n, n)
-label matrix, for graphs too large for the pure-Python references.
+membership and of the obstruction scan read uint8 lattice rows pair-major,
+one contiguous column per pair: a triangle test is one lookup of its three
+columns' code in a flattened table per triangle, and the magic completion
+reads only the rows where a pair is still blank.  The verifier streams rows
+through them in fixed-size chunks.  F(p) is read once per Engine: its
+triangles fill forb3, and its longer cycles form a trie of words, scanned by
+bit-parallel products of adjacency bitmasks shared across prefixes.
+complete_graph and first_violating_graph run the completion and membership
+routes on one graph held as an (n, n) label matrix, for graphs too large for
+the pure-Python references.
 
 The scalar routines in completion, families and oracle stay the reference
 implementations; the verifier cross-checks sampled rows against them and
@@ -54,7 +54,7 @@ def _oplus_table(ctx: MagicContext, labels) -> np.ndarray:
 class Engine:
     """Tables and batch operations for one parameter context and one n.
     Rows are uint8 arrays of shape (B, P), one column per vertex pair in
-    lexicographic order."""
+    lexicographic order; other layouts are copied to pair-major once."""
 
     def __init__(self, ctx: MagicContext, n: int):
         if not 3 <= n <= 64:
@@ -70,12 +70,9 @@ class Engine:
         def pair(a: int, b: int) -> int:
             return pair_index[(min(a, b), max(a, b))]
 
-        # partners[q, k] = the pairs (u, z), (v, z) for pair q = (u, v) and
+        # partners[q][k] = the pairs (u, z), (v, z) for pair q = (u, v) and
         # its k-th third vertex z, in increasing z.
-        self.partners = np.array(
-            [[(pair(u, z), pair(v, z)) for z in range(n) if z != u and z != v] for u, v in self.pairs],
-            dtype=np.intp,
-        )
+        self.partners = [[(pair(u, z), pair(v, z)) for z in range(n) if z != u and z != v] for u, v in self.pairs]
         # nbrs[u, k] = the pair (u, v) for the k-th vertex v != u, and
         # nbr_bits[u, k] = 1 << v: one gather through nbrs turns a label into
         # (B, n) row bitmasks of its adjacency.
@@ -119,14 +116,15 @@ class Engine:
 
     def decode(self, idx: np.ndarray) -> np.ndarray:
         """Lattice indices to label rows of shape (B, P), dtype uint8: the
-        last pair is the fastest-varying digit."""
+        last pair is the fastest-varying digit.  They are the transpose of a
+        C-contiguous (P, B) array, which the batch operations read as is."""
         rest = np.array(idx, dtype=np.int64).reshape(-1)
         digit = np.empty_like(rest)
-        rows = np.empty((rest.size, self.P), dtype=np.uint8)
+        cols = np.empty((self.P, rest.size), dtype=np.uint8)
         for q in range(self.P - 1, -1, -1):
             np.divmod(rest, self.base, out=(rest, digit))
-            rows[:, q] = digit
-        return rows
+            cols[q] = digit
+        return cols.T
 
     def row_to_graph(self, row: np.ndarray) -> EdgeLabelledGraph:
         edges = [
@@ -164,76 +162,95 @@ class Engine:
         children has no blanks left."""
         fits = self.allowed3.reshape(self.base**2, self.base)
 
-        def labels_at(X: np.ndarray, q: int) -> np.ndarray:
-            """(len(X), base) mask of the labels allowed at pair q."""
-            ok = fits[self._codes(X[:, self.partners[q]])].all(axis=1)
+        def labels_at(X: np.ndarray, q: int, sel: np.ndarray) -> np.ndarray:
+            """(rows sel selects, base) mask of the labels allowed at pair q."""
+            ok = np.logical_and.reduce([fits[self._code(X[a][sel], X[b][sel])] for a, b in self.partners[q]])
             ok[:, 0] = False
             return ok
 
-        out = self.allowed3.reshape(-1)[self._codes(rows[:, self.triangles])].all(axis=1)
+        cols = np.ascontiguousarray(rows.T)
+        out = self._triangles_hold(cols, self.allowed3)
         live = np.flatnonzero(out)
-        X = rows[live]
+        X = cols[:, live]
         for q in range(self.P):
-            blank = np.flatnonzero(X[:, q] == 0)
+            blank = np.flatnonzero(X[q] == 0)
             # argmax is the least allowed label, and 0 where none is.
-            X[blank, q] = labels_at(X[blank], q).argmax(axis=1)
-        stuck = live[(X == 0).any(axis=1)]
-        F, owner = rows[stuck], np.arange(stuck.size)
+            X[q, blank] = labels_at(X, q, blank).argmax(axis=1)
+        stuck = live[(X == 0).any(axis=0)]
+        F, owner = cols[:, stuck], np.arange(stuck.size)
         done = np.zeros(stuck.size, dtype=bool)
         for q in range(self.P):
-            blank = F[:, q] == 0
-            parent, label = np.nonzero(labels_at(F[blank], q))
-            kids = F[blank][parent]
-            kids[:, q] = label
-            F = np.concatenate([F[~blank], kids])
+            blank = F[q] == 0
+            parent, label = np.nonzero(labels_at(F, q, blank))
+            kids = F[:, blank][:, parent]
+            kids[q] = label
+            F = np.concatenate([F[:, ~blank], kids], axis=1)
             owner = np.concatenate([owner[~blank], owner[blank][parent]])
-            done[owner[(F[:, q + 1 :] != 0).all(axis=1)]] = True
-            F, owner = F[~done[owner]], owner[~done[owner]]
+            done[owner[(F[q + 1 :] != 0).all(axis=0)]] = True
+            F, owner = F[:, ~done[owner]], owner[~done[owner]]
         out[stuck] = done
         return out
 
-    def _codes(self, labels: np.ndarray) -> np.ndarray:
-        """Pack the last axis of a gathered label array into one code per
-        entry, most significant label first: the flat index of that label
-        tuple in opl, allowed3 or forb3."""
-        labels = labels.astype(self.code_dtype, copy=False)
-        code = labels[..., 0]
-        for k in range(1, labels.shape[-1]):
-            code = code * self.base + labels[..., k]
+    def _code(self, *labels: np.ndarray) -> np.ndarray:
+        """Pack label columns into one code per row, most significant label
+        first: the flat index of that label tuple in opl, allowed3 or forb3.
+        Formed in code_dtype, as uint8 would wrap above 255 from delta = 6."""
+        code = labels[0].astype(self.code_dtype, copy=False)
+        for l in labels[1:]:
+            code = code * self.base + l
         return code
+
+    def _triangles_hold(self, cols: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """Per row of the columns: table holds at every triangle's labels."""
+        flat = table.reshape(-1)
+        ok = np.ones(cols.shape[1], dtype=bool)
+        for q1, q2, q3 in self.triangles.tolist():
+            ok &= flat[self._code(cols[q1], cols[q2], cols[q3])]
+        return ok
 
     def complete_batch(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Magic completion of each row.  Returns (completed rows, mask of
-        pairs filled by the final fallback to the magic distance).
+        pairs filled by the final fallback to the magic distance), both in
+        decode's pair-major layout.
 
         At the stage of distance d a blank pair (u, v) is filled when some
         third vertex z has label(u, z) (+) label(v, z) == d, read from the
-        rows as they stood when the stage began."""
-        X = rows.copy()
+        rows as they stood when the stage began: each pair keeps the list of
+        rows where it is blank, reads its partner columns there, and a stage
+        writes its fills once every pair is read."""
+        cols = np.array(rows.T, order="C")
         opl = self.opl.reshape(-1)
+        blank = [np.flatnonzero(c == 0) for c in cols]
         for d in self.ctx.permutation:
             hit = opl == d
             # Often no two labels give d (under (3,1,3,10,9) only 2 is ever
             # reached), and then the stage fills nothing.
             if not hit.any():
                 continue
-            reached = hit[self._codes(X[:, self.partners])].any(axis=2)
-            X[(X == 0) & reached] = d
-        fallback = X == 0
-        X[fallback] = self.ctx.m
-        return X, fallback
+            reached = [np.zeros(at.size, dtype=bool) for at in blank]
+            for q, at in enumerate(blank):
+                for a, b in self.partners[q]:
+                    reached[q] |= hit[self._code(cols[a][at], cols[b][at])]
+            for q, at in enumerate(blank):
+                cols[q][at[reached[q]]] = d
+                blank[q] = at[~reached[q]]
+        fallback = cols == 0
+        cols[fallback] = self.ctx.m
+        return cols.T, fallback.T
 
     def member_batch(self, full_rows: np.ndarray) -> np.ndarray:
-        """Every triangle allowed; rows must have no blanks."""
-        return self.allowed3.reshape(-1)[self._codes(full_rows[:, self.triangles])].all(axis=1)
+        """Every triangle allowed; rows must have no blanks.  One lookup per
+        triangle in allowed3, on its three contiguous pair columns."""
+        return self._triangles_hold(np.ascontiguousarray(full_rows.T), self.allowed3)
 
     def obstruction_batch(self, rows: np.ndarray) -> np.ndarray:
         """True where the partial graph contains an obstruction cycle, found
         as a forbidden triangle or as a closed walk tracing a longer word."""
-        bad = self.forb3.reshape(-1)[self._codes(rows[:, self.triangles])].any(axis=1)
+        cols = np.ascontiguousarray(rows.T)
+        bad = ~self._triangles_hold(cols, ~self.forb3)
         rest = np.flatnonzero(~bad)
         if self.words and rest.size:
-            bad[rest[self._word_scan(rows[rest])]] = True
+            bad[rest[self._word_scan(cols[:, rest].T)]] = True
         return bad
 
     def _word_scan(self, rows: np.ndarray) -> np.ndarray:

@@ -174,6 +174,8 @@ def classify_cycle(p: ParameterSequence, cycle: Cycle) -> list[FamilyWitness]:
     cycle = tuple(cycle)
     if len(cycle) < 3:
         raise ValueError("a cycle has at least 3 edges")
+    if max(cycle) > p.delta:
+        raise ValueError(f"cycle labels exceed delta={p.delta}")
     canon = canonical_cycle(cycle)
     desc = tuple(sorted(cycle, reverse=True))
     total = sum(desc)

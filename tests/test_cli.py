@@ -262,6 +262,17 @@ def test_family_classify_bad_cycle(capsys):
     assert "at least 3 labels" in err
 
 
+def test_family_classify_label_above_delta(capsys):
+    """F(p) holds only cycles labelled 1..delta; a larger label is refused,
+    not classified."""
+    code, out, err = run(
+        capsys, ["family", "classify", "--params", "3", "1", "3", "10", "9", "--cycle", "9,1,1"]
+    )
+    assert code == 2
+    assert out == ""
+    assert "exceed delta=3" in err
+
+
 def test_family_enumerate(capsys):
     code, out, _ = run(capsys, ["family", "enumerate", "--params", *IIB, "--json"])
     assert code == 0

@@ -154,6 +154,13 @@ def test_classify_clean_cycle_empty():
         classify_cycle(P_IIB, (3, 3))
 
 
+def test_classify_rejects_label_above_delta():
+    with pytest.raises(ValueError, match="exceed delta=3"):
+        classify_cycle(P_III3, (4, 1, 1))
+    with pytest.raises(ValueError, match="exceed delta=5"):
+        classify_cycle(P_IIB, (5, 5, 6, 5))
+
+
 def test_classify_witnesses_all_valid():
     """Every reported decomposition satisfies its family inequality, for every
     short cycle over a few tuples."""

@@ -90,6 +90,56 @@ def test_engine_matches_scalar_routes_delta3_n3():
         assert obstructed[i] == (find_witness(P_III3, g) is not None), g
 
 
+def test_complete_and_member_batch_match_scalar_delta3_all_n4():
+    """complete_batch and member_batch against magic_complete and is_member,
+    fallback pairs included, on every n = 4 lattice point of each delta = 3
+    tuple."""
+    params = enumerate_admissible(3)
+    assert len(params) == 10
+    fallback_graphs = 0
+    for p in params:
+        ctx = default_context(p)
+        eng = Engine(ctx, 4)
+        rows = eng.decode(np.arange(eng.size, dtype=np.int64))
+        filled, fb = eng.complete_batch(rows)
+        member = eng.member_batch(filled)
+        fallback_graphs += int(fb.any(axis=1).sum())
+        for row, row_filled, row_fb, ok in zip(rows, filled, fb, member):
+            g = eng.row_to_graph(row)
+            done, trace = magic_complete(ctx, g)
+            assert eng.row_to_graph(row_filled) == done, (p, g)
+            assert {eng.pairs[q] for q in np.flatnonzero(row_fb)} == set(trace.fallback_pairs), (p, g)
+            assert ok == is_member(p, done), (p, g)
+    assert fallback_graphs > 0
+
+
+@pytest.mark.parametrize(
+    "t, n", [((3, 1, 3, 10, 9), 5), ((6, 3, 4, 16, 15), 4)], ids=["delta3-n5", "delta6-n4"]
+)
+def test_batch_operations_ignore_row_layout(t, n):
+    """The batch operations read pair-major columns.  On decode's transposed
+    view, on a C-ordered copy of it and on a strided row slice they return
+    equal arrays, and the input rows are left as they were.  Each pair is
+    blank with probability 0.45, so fallback pairs occur, and under the
+    delta = 6 tuple, whose triangle codes pass 255, the greedy search pass
+    leaves rows to its frontier."""
+    eng = Engine(default_context(ParameterSequence(*t)), n)
+    rng = np.random.default_rng(sum(t))
+    k = 400
+    labels = rng.integers(1, eng.base, size=(k, eng.P)) * (rng.random((k, eng.P)) >= 0.45)
+    rows = eng.decode(lattice_index(eng, labels))
+    assert rows.T.flags.c_contiguous and not rows.flags.c_contiguous
+    filled, fb = eng.complete_batch(rows)
+    want = [filled, fb, eng.member_batch(filled), eng.obstruction_batch(rows), eng.completable_batch(rows)]
+    assert np.array_equal(rows, labels)
+    assert fb.any() and want[2].any() and want[3].any() and want[4].any() and not want[4].all()
+    for layout, sel in [(np.ascontiguousarray, slice(None)), (lambda x: x[::2], slice(None, None, 2))]:
+        got = [*eng.complete_batch(layout(rows)), eng.member_batch(layout(filled))]
+        got += [eng.obstruction_batch(layout(rows)), eng.completable_batch(layout(rows))]
+        for w, g in zip(want, got):
+            assert np.array_equal(w[sel], g)
+
+
 def test_completable_batch_matches_lattice_all_n4():
     """The batch search against the lattice on every n = 4 lattice point of
     each admissible tuple with delta <= 5."""
@@ -169,7 +219,8 @@ def test_obstruction_batch_matches_find_witness_triangle_free(t, n):
     rng = np.random.default_rng(n * 1000 + sum(t))
     k = 2000
     rows = (rng.integers(1, eng.base, size=(k, eng.P)) * (rng.random((k, eng.P)) >= 0.6)).astype(np.uint8)
-    rows = rows[~eng.forb3.reshape(-1)[eng._codes(rows[:, eng.triangles])].any(axis=1)][:200]
+    q1, q2, q3 = eng.triangles.T
+    rows = rows[~eng.forb3[rows[:, q1], rows[:, q2], rows[:, q3]].any(axis=1)][:200]
     assert len(rows) == 200
     obstructed = eng.obstruction_batch(rows)
     want = [find_witness(p, eng.row_to_graph(row)) is not None for row in rows]
