@@ -1,20 +1,21 @@
 """Vectorized back end for the equivalence verifier.
 
 Labellings of the complete graph on n vertices live on a lattice with one
-axis per vertex pair and base delta + 1; digit 0 marks a blank pair.  The
-completability transform computes, for every point of the lattice at once,
-whether some filling of the blanks yields a graph all of whose triangles are
-allowed; exhaustive verification reads it.  Sampled verification builds no
-lattice: completable_batch answers the same question for the drawn rows, a
-greedy filling certifying most of them and an exact breadth-first frontier
-deciding the rest.  Batched counterparts of the magic completion, of
-membership and of the obstruction scan read uint8 lattice rows pair-major,
-one contiguous column per pair: a triangle test is one lookup of its three
-columns' code in a flattened table per triangle, and the magic completion
-reads only the rows where a pair is still blank.  The verifier streams rows
-through them in fixed-size chunks.  F(p) is read once per Engine: its
-triangles fill forb3, and its longer cycles form a trie of words, scanned by
-bit-parallel products of adjacency bitmasks shared across prefixes.
+axis per vertex pair and base delta + 1; digit 0 marks a blank pair.
+Exhaustive verification reads two routes off whole-lattice transforms:
+completable_lattice closes downward from the complete rows whose triangles
+are all allowed, obstruction_lattice upward from the forbidden triangles and
+the closed walks tracing the longer words of F(p).  Sampled verification
+builds no lattice: completable_batch (a greedy filling, then an exact
+breadth-first frontier) and obstruction_batch answer for the drawn rows.
+Batched counterparts of the magic completion, of membership and of the
+obstruction scan read uint8 lattice rows pair-major, one contiguous column
+per pair: a triangle test is one lookup of its three columns' code in a
+flattened table per triangle, and the magic completion reads only the rows
+where a pair is still blank.  The verifier streams rows through them in
+fixed-size chunks.  F(p) is read once per Engine: its triangles fill forb3,
+and its longer cycles form a trie of words, walked by bit-parallel products
+of adjacency bitmasks shared across prefixes and by the lattice's seeding.
 complete_graph and first_violating_graph run the completion and membership
 routes on one graph held as an (n, n) label matrix, for graphs too large for
 the pure-Python references.
@@ -252,6 +253,50 @@ class Engine:
         if self.words and rest.size:
             bad[rest[self._word_scan(cols[:, rest].T)]] = True
         return bad
+
+    def obstruction_lattice(self) -> np.ndarray:
+        """obstruction_batch at every lattice point, as a flat boolean array.
+        Adding labels only adds images of F(p), so the obstructed points are
+        the upward closure of seeds: the forbidden triangles, and the closed
+        walks tracing a word with only their own pairs labelled.  Walks grow
+        along the trie as (start, current vertex, lattice index) sets; a step
+        keeps a walk where the pair is blank, labelling it, or carries the
+        letter.  Each axis then ORs its blank slice into its labelled ones."""
+        n, pw = self.n, self.base ** np.arange(self.P - 1, -1, -1, dtype=np.int64)
+        O = np.zeros(self.size, dtype=bool)
+        a, b, c = np.nonzero(self.forb3)
+        for q1, q2, q3 in self.triangles.tolist():
+            O[a * pw[q1] + b * pw[q2] + c * pw[q3]] = True
+        pair = np.zeros((n, n), dtype=np.intp)
+        pair[np.triu_indices(n, 1)] = pair.T[np.triu_indices(n, 1)] = np.arange(self.P)
+
+        def step(idx, cur, z, l):
+            """Indices after the step cur -> z labelled l, and which walks survive it."""
+            digit = idx // pw[pair[cur, z]] % self.base
+            return idx + (digit == 0) * (l * pw[pair[cur, z]]), (cur != z) & ((digit == 0) | (digit == l))
+
+        verts = np.arange(n)
+        stack = [((), verts, verts, np.zeros(n, dtype=np.int64))] if self.words else []
+        while stack:
+            prefix, start, cur, idx = stack.pop()
+            for l in self.next_labels[prefix]:
+                w = prefix + (l,)
+                if w in self.words:
+                    closed, ok = step(idx, cur, start, l)
+                    O[closed[ok]] = True
+                if w in self.next_labels:
+                    nxt, ok = step(idx[:, None], cur[:, None], verts, l)
+                    s, z = np.nonzero(ok)
+                    # Deduplicated by sorting: np.unique imports numpy.ma, 1.4 MiB of RSS.
+                    key = np.sort((nxt[s, z] * n + start[s]) * n + z)
+                    key, z = np.divmod(key[np.diff(key, prepend=-1) != 0], n)
+                    key, s = np.divmod(key, n)
+                    stack.append((w, s, z, key))
+        O = O.reshape((self.base,) * self.P)
+        for q in range(self.P):
+            v = np.moveaxis(O, q, 0)
+            v[1:] |= v[0]
+        return O.reshape(-1)
 
     def _word_scan(self, rows: np.ndarray) -> np.ndarray:
         """Closed walks on row bitmasks: bit v of adj[l][b, u] is set iff row

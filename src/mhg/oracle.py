@@ -3,9 +3,9 @@
 has_completion answers by depth-first search over fillings with triangle
 pruning; it is the slow reference the engine's search route is checked
 against.  verify_equivalence runs three routes over edge-labelled graphs:
-search for any valid completion (the whole lattice in exhaustive mode, the
-batch search on the drawn rows in sampled mode), scan for obstruction
-cycles, run the magic completion and test membership.  The characterization
+search for any valid completion and scan for obstruction cycles (each read
+off a lattice in exhaustive mode and answered for the drawn rows in sampled
+mode), run the magic completion and test membership.  The characterization
 under test says the three agree on every graph.  Reported mismatches are
 always re-verified with the scalar routines first; a scalar result
 contradicting the vectorized one is an internal error, never a finding.
@@ -27,8 +27,8 @@ from .params import ParameterSequence
 
 _EXAMPLE_CAP = 20
 _FALLBACK_CAP = 5
-# Lattice points per n.  An exhaustive run holds the lattice and, per row, a
-# witness-free and a magic-ok verdict: one byte each, so 600 MB at the cap.
+# Lattice points per n.  An exhaustive run holds the search and obstruction
+# lattices and a magic-ok verdict, one byte per point each: 600 MB at the cap.
 # A sampled run builds no lattice; it holds 8 index bytes and 3 verdict bytes
 # per sampled row, within the same 600 MB.  The cap still bounds n there,
 # since the batch search frontier has no per-row cap.
@@ -162,11 +162,12 @@ def verify_equivalence(
     n_max vertices when sample is given.
 
     Rows go through the engine in chunks of _CHUNK_ROWS lattice indices.
-    The search verdict is the lattice in exhaustive mode; in sampled mode
-    no lattice is built, and each chunk's verdicts come from the batch
-    search on the rows it decoded.  Per n only one byte per row is kept for
-    each verdict; the few rows that a spot check or an example needs are
-    decoded again on demand.
+    In exhaustive mode the search verdict is the completability lattice and
+    the witness-free verdict the obstruction lattice, negated in place; in
+    sampled mode no lattice is built, and each chunk's verdicts come from
+    the batch search and the row scan on the rows it decoded.  Per n only
+    one byte per row is kept for each verdict; the few rows that a spot
+    check or an example needs are decoded again on demand.
     """
     if n_max < 3:
         raise ValueError("n_max must be at least 3")
@@ -214,11 +215,13 @@ def verify_equivalence(
             total = eng.size
             points += eng.size
             orc = timed("search", eng.completable_lattice)
+            wit_free = timed("obstruction", eng.obstruction_lattice)
+            np.logical_not(wit_free, out=wit_free)
         else:
             idx = rng.integers(0, eng.size, size=sample, dtype=np.int64)
             total = sample
             orc = np.empty(total, dtype=bool)
-        wit_free = np.empty(total, dtype=bool)
+            wit_free = np.empty(total, dtype=bool)
         magic_ok = np.empty(total, dtype=bool)
 
         def rows_at(pos):
@@ -229,8 +232,8 @@ def verify_equivalence(
             rows = timed("decode", rows_at, np.arange(lo, hi, dtype=np.int64))
             filled, fb = timed("complete", eng.complete_batch, rows)
             magic_ok[lo:hi] = timed("member", eng.member_batch, filled)
-            wit_free[lo:hi] = ~timed("obstruction", eng.obstruction_batch, rows)
             if idx is not None:
+                wit_free[lo:hi] = ~timed("obstruction", eng.obstruction_batch, rows)
                 orc[lo:hi] = timed("search", eng.completable_batch, rows)
             chunks += 1
             fb_any = fb.any(axis=1)

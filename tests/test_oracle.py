@@ -151,6 +151,25 @@ def test_completable_batch_matches_lattice_all_n4():
         assert np.array_equal(eng.completable_batch(rows), eng.completable_lattice()), p
 
 
+def test_obstruction_lattice_matches_batch():
+    """The obstruction lattice against the row scan on every n = 4 lattice
+    point of each admissible tuple with delta <= 5, and on every n = 5
+    point of each delta = 3 tuple, decoded in chunks."""
+    params = [p for delta in range(3, 6) for p in enumerate_admissible(delta)]
+    assert len(params) == 63
+    for p in params:
+        eng = Engine(default_context(p), 4)
+        rows = eng.decode(np.arange(eng.size, dtype=np.int64))
+        assert np.array_equal(eng.obstruction_lattice(), eng.obstruction_batch(rows)), p
+    for p in enumerate_admissible(3):
+        eng = Engine(default_context(p), 5)
+        lattice = eng.obstruction_lattice()
+        assert lattice.any() and not lattice.all()
+        for lo in range(0, eng.size, 1 << 18):
+            idx = np.arange(lo, min(lo + (1 << 18), eng.size), dtype=np.int64)
+            assert np.array_equal(lattice[idx], eng.obstruction_batch(eng.decode(idx))), (p, lo)
+
+
 def test_engine_forb3_matches_is_forbidden():
     """forb3, filled from the triangles of enumerate_forbidden, against
     is_forbidden on every label triple; label 0 (a blank pair) is never
@@ -181,7 +200,8 @@ SEEDED_ROW_CASES = [(p, n) for p in enumerate_admissible(3) for n in (4, 5)] + [
 def test_engine_matches_scalar_routes_seeded_rows(p, n):
     """Every route of the vectorized engine against its scalar reference on
     seeded rows: uniform lattice points, and rows with each pair blank with
-    probability 0.45, which reach the fallback and longer cycles more often."""
+    probability 0.45, which reach the fallback and longer cycles more often.
+    The obstruction lattice, read at the rows, equals the row scan."""
     ctx = default_context(p)
     eng = Engine(ctx, n)
     rng = np.random.default_rng(n * 1000 + sum(p.as_tuple()))
@@ -195,6 +215,7 @@ def test_engine_matches_scalar_routes_seeded_rows(p, n):
     filled, fb = eng.complete_batch(rows)
     member = eng.member_batch(filled)
     obstructed = eng.obstruction_batch(rows)
+    assert np.array_equal(eng.obstruction_lattice()[lattice_index(eng, rows)], obstructed)
     for i, row in enumerate(rows):
         g = eng.row_to_graph(row)
         assert completable[i] == searched[i] == has_completion(p, g), g
@@ -251,7 +272,8 @@ def test_forbidden_cycles_are_obstructions_on_every_route():
     enumerate_forbidden(p), for each admissible tuple with delta <= 5, drawn
     as a cycle graph with its labels rotated by one and its vertices
     shuffled, so no walk starts at vertex 0 with the canonical word.  The
-    engine routes run on one batch per cycle length."""
+    engine routes run on one batch per cycle length, and the members of up
+    to 4 edges are also read off the obstruction lattice."""
     rng = random.Random(20180815)
     params = [p for delta in range(3, 6) for p in enumerate_admissible(delta)]
     assert len(params) == 63
@@ -275,6 +297,8 @@ def test_forbidden_cycles_are_obstructions_on_every_route():
             rows = np.array([[g.label(u, v) or 0 for u, v in eng.pairs] for g in graphs], dtype=np.uint8)
             assert not eng.completable_batch(rows).any(), (p, k)
             assert eng.obstruction_batch(rows).all(), (p, k)
+            if k <= 4:
+                assert eng.obstruction_lattice()[lattice_index(eng, rows)].all(), (p, k)
             assert not eng.member_batch(eng.complete_batch(rows)[0]).any(), (p, k)
     assert members == 916
 
@@ -402,15 +426,17 @@ def _flip_completion(out):
 
 
 # One engine stage per route, a wrapper that turns its verdict around, and
-# the sample size of the run (None: exhaustive).  The search route has a
-# stage per mode; the text before a comma names the route.
+# the sample size of the run (None: exhaustive).  The search and
+# obstruction routes have a stage per mode; the text before a comma names
+# the route.
 ENGINE_FLIPS = {
     "search route": ("completable_lattice", np.logical_not, None),
     "search route, sampled": ("completable_batch", np.logical_not, 50),
     "completion route": ("complete_batch", _flip_completion, None),
     "fallback log": ("complete_batch", lambda out: (out[0], ~out[1]), None),
     "membership route": ("member_batch", np.logical_not, None),
-    "obstruction route": ("obstruction_batch", np.logical_not, None),
+    "obstruction route": ("obstruction_lattice", np.logical_not, None),
+    "obstruction route, sampled": ("obstruction_batch", np.logical_not, 50),
 }
 
 
