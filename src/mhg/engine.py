@@ -8,14 +8,17 @@ are all allowed, obstruction_lattice upward from the forbidden triangles and
 the closed walks tracing the longer words of F(p).  Sampled verification
 builds no lattice: completable_batch (a greedy filling, then an exact
 breadth-first frontier) and obstruction_batch answer for the drawn rows.
-Batched counterparts of the magic completion, of membership and of the
-obstruction scan read uint8 lattice rows pair-major, one contiguous column
-per pair: a triangle test is one lookup of its three columns' code in a
-flattened table per triangle, and the magic completion reads only the rows
-where a pair is still blank.  The verifier streams rows through them in
-fixed-size chunks.  F(p) is read once per Engine: its triangles fill forb3,
-and its longer cycles form a trie of words, walked by bit-parallel products
-of adjacency bitmasks shared across prefixes and by the lattice's seeding.
+The batch search and the obstruction scan read uint8 rows pair-major, one
+contiguous column per pair; a triangle test looks up its three columns'
+code in a flattened table.  The magic completion and membership are
+bit-sliced (after Biham, FSE 1997): plane [q, l] holds one bit per row, set
+where pair q has label l, so an AND or OR covers 8 rows per byte.  An
+exhaustive chunk is an aligned lattice block whose planes are built, not
+decoded (a grid per Engine for the low pairs, constant high pairs); a
+sampled chunk packs its decoded rows once.  F(p) is read once per Engine:
+its triangles fill forb3, and its longer cycles form a trie of words, walked
+by bit-parallel products of adjacency bitmasks shared across prefixes and by
+the lattice's seeding.
 complete_graph and first_violating_graph run the completion and membership
 routes on one graph held as an (n, n) label matrix, for graphs too large for
 the pure-Python references.
@@ -52,10 +55,21 @@ def _oplus_table(ctx: MagicContext, labels) -> np.ndarray:
     return np.array(rows, dtype=np.min_scalar_type(ctx.delta))
 
 
+def unpack(planes: np.ndarray, count: int) -> np.ndarray:
+    """The first count rows of bit planes, as booleans along the last axis."""
+    return np.unpackbits(planes, axis=-1, count=count, bitorder="little").view(bool)
+
+
+def plane_rows(planes: np.ndarray, count: int) -> np.ndarray:
+    """Label rows (count, P) of one-hot planes: the inverse of Engine.planes."""
+    return unpack(planes, count).argmax(axis=1).astype(np.uint8).T
+
+
 class Engine:
     """Tables and batch operations for one parameter context and one n.
     Rows are uint8 arrays of shape (B, P), one column per vertex pair in
-    lexicographic order; other layouts are copied to pair-major once."""
+    lexicographic order; other layouts are copied to pair-major once.  The
+    magic completion and membership read (P, base, ceil(B / 8)) bit planes."""
 
     def __init__(self, ctx: MagicContext, n: int):
         if not 3 <= n <= 64:
@@ -71,9 +85,11 @@ class Engine:
         def pair(a: int, b: int) -> int:
             return pair_index[(min(a, b), max(a, b))]
 
-        # partners[q][k] = the pairs (u, z), (v, z) for pair q = (u, v) and
-        # its k-th third vertex z, in increasing z.
-        self.partners = [[(pair(u, z), pair(v, z)) for z in range(n) if z != u and z != v] for u, v in self.pairs]
+        # partners[:, q, k] = the pairs (u, z), (v, z) for pair q = (u, v)
+        # and its k-th third vertex z, in increasing z.
+        partners = [[(pair(u, z), pair(v, z)) for z in range(n) if z != u and z != v] for u, v in self.pairs]
+        self.partners = np.moveaxis(np.array(partners, dtype=np.intp), 2, 0)
+        self._grids: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # block_planes' (grid, ones)
         # nbrs[u, k] = the pair (u, v) for the k-th vertex v != u, and
         # nbr_bits[u, k] = 1 << v: one gather through nbrs turns a label into
         # (B, n) row bitmasks of its adjacency.
@@ -165,7 +181,7 @@ class Engine:
 
         def labels_at(X: np.ndarray, q: int, sel: np.ndarray) -> np.ndarray:
             """(rows sel selects, base) mask of the labels allowed at pair q."""
-            ok = np.logical_and.reduce([fits[self._code(X[a][sel], X[b][sel])] for a, b in self.partners[q]])
+            ok = np.logical_and.reduce([fits[self._code(X[a][sel], X[b][sel])] for a, b in self.partners[:, q].T])
             ok[:, 0] = False
             return ok
 
@@ -209,40 +225,70 @@ class Engine:
             ok &= flat[self._code(cols[q1], cols[q2], cols[q3])]
         return ok
 
-    def complete_batch(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Magic completion of each row.  Returns (completed rows, mask of
-        pairs filled by the final fallback to the magic distance), both in
-        decode's pair-major layout.
+    def planes(self, rows: np.ndarray) -> np.ndarray:
+        """Bit planes of label rows of any layout: bit i of byte j of plane
+        [q, l] is set iff row 8j + i has label l at pair q (0: blank), so
+        padding bits are 0."""
+        out = np.empty((rows.shape[1], self.base, -(-rows.shape[0] // 8)), dtype=np.uint8)
+        for l in range(self.base):
+            out[:, l] = np.packbits(rows.T == l, axis=-1, bitorder="little")
+        return out
+
+    def block_planes(self, block: int, k: int) -> np.ndarray:
+        """planes of the base**k lattice points from block * base**k on,
+        built, not decoded: the low k pairs (the fastest digits) copy one
+        grid per k, and each high pair is all ones at its digit of block."""
+        if k not in self._grids:
+            low = np.indices((self.base,) * k, dtype=np.uint8).reshape(k, self.base**k).T
+            self._grids[k] = self.planes(low), np.packbits(np.ones(len(low), dtype=bool), bitorder="little")
+        grid, ones = self._grids[k]
+        out = np.zeros((self.P, self.base, ones.size), dtype=np.uint8)
+        out[self.P - k :] = grid
+        for q in range(self.P - k - 1, -1, -1):
+            block, digit = divmod(block, self.base)
+            out[q, digit] = ones
+        return out
+
+    def complete_batch(self, planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Magic completion of every row of the planes.  Returns (completed
+        planes, fallback planes): bit i of fallback[q] marks pair q of row i
+        as filled by the final fallback to the magic distance.
 
         At the stage of distance d a blank pair (u, v) is filled when some
         third vertex z has label(u, z) (+) label(v, z) == d, read from the
-        rows as they stood when the stage began: each pair keeps the list of
-        rows where it is blank, reads its partner columns there, and a stage
-        writes its fills once every pair is read."""
-        cols = np.array(rows.T, order="C")
-        opl = self.opl.reshape(-1)
-        blank = [np.flatnonzero(c == 0) for c in cols]
+        rows as they stood when the stage began: reached[q] ORs E[a, x] &
+        E[b, y] over q's partner pairs (a, b) and the labels with x (+) y ==
+        d, for every pair before any fill is written."""
+        E = planes.copy()
+        a, b = self.partners
         for d in self.ctx.permutation:
-            hit = opl == d
-            # Often no two labels give d (under (3,1,3,10,9) only 2 is ever
-            # reached), and then the stage fills nothing.
-            if not hit.any():
-                continue
-            reached = [np.zeros(at.size, dtype=bool) for at in blank]
-            for q, at in enumerate(blank):
-                for a, b in self.partners[q]:
-                    reached[q] |= hit[self._code(cols[a][at], cols[b][at])]
-            for q, at in enumerate(blank):
-                cols[q][at[reached[q]]] = d
-                blank[q] = at[~reached[q]]
-        fallback = cols == 0
-        cols[fallback] = self.ctx.m
-        return cols.T, fallback.T
+            reached = np.zeros_like(E[:, 0])
+            for x in range(1, self.base):
+                ys = np.flatnonzero(self.opl[x] == d)
+                if ys.size:
+                    union = np.bitwise_or.reduce(E[:, ys], axis=1)
+                    reached |= np.bitwise_or.reduce(E[a, x] & union[b], axis=1)
+            reached &= E[:, 0]
+            E[:, d] |= reached
+            E[:, 0] ^= reached
+        fallback = E[:, 0].copy()
+        E[:, self.ctx.m] |= fallback
+        E[:, 0] = 0
+        return E, fallback
 
-    def member_batch(self, full_rows: np.ndarray) -> np.ndarray:
-        """Every triangle allowed; rows must have no blanks.  One lookup per
-        triangle in allowed3, on its three contiguous pair columns."""
-        return self._triangles_hold(np.ascontiguousarray(full_rows.T), self.allowed3)
+    def member_batch(self, planes: np.ndarray) -> np.ndarray:
+        """Membership bits of complete rows (no blank pair), packed like a
+        plane, padding bits 0: a row is a member unless some triangle (q1,
+        q2, q3) has E[q1, x] & E[q2, y] & OR{E[q3, z] : not allowed3[x, y, z]}."""
+        t1, t2, t3 = self.triangles.T
+        bad = np.zeros(planes.shape[-1], dtype=np.uint8)
+        for x, y in product(range(1, self.base), repeat=2):
+            zs = np.flatnonzero(~self.allowed3[x, y])
+            if zs.size:
+                union = np.bitwise_or.reduce(planes[:, zs], axis=1)
+                bad |= np.bitwise_or.reduce(planes[t1, x] & planes[t2, y] & union[t3], axis=0)
+        # Pair 0 holds one label per row, so its planes' union marks the rows.
+        return np.bitwise_or.reduce(planes[0], axis=0) & ~bad
 
     def obstruction_batch(self, rows: np.ndarray) -> np.ndarray:
         """True where the partial graph contains an obstruction cycle, found

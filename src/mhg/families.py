@@ -232,13 +232,13 @@ def _arrangements(ms: Cycle) -> set[Cycle]:
     return {canonical_cycle((ms[0],) + rest) for rest in _distinct_perms(ms[1:])}
 
 
-def _forbidden_multisets(p: ParameterSequence) -> Iterator[Cycle]:
-    """Label multisets of the obstruction cycles, ascending tuples, by length."""
+@functools.cache
+def _forbidden_multisets(p: ParameterSequence) -> tuple[Cycle, ...]:
+    """Label multisets of the obstruction cycles, ascending tuples, by length;
+    cached, as every Engine and the prefix table of p read them."""
     tags = active_tags(p)
-    for length in range(3, walk_bound(p) + 1):
-        for ms in combinations_with_replacement(range(1, p.delta + 1), length):
-            if not _holding_tags(p, ms).isdisjoint(tags):
-                yield ms
+    pool = [combinations_with_replacement(range(1, p.delta + 1), k) for k in range(3, walk_bound(p) + 1)]
+    return tuple(ms for part in pool for ms in part if not _holding_tags(p, ms).isdisjoint(tags))
 
 
 def enumerate_forbidden(p: ParameterSequence) -> list[Cycle]:

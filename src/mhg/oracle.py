@@ -28,13 +28,14 @@ from .params import ParameterSequence
 _EXAMPLE_CAP = 20
 _FALLBACK_CAP = 5
 # Lattice points per n.  An exhaustive run holds the search and obstruction
-# lattices and a magic-ok verdict, one byte per point each: 600 MB at the cap.
+# lattices and a magic-ok verdict, one byte per point each, and scans them
+# for mismatches chunk by chunk: 600 MB at the cap.
 # A sampled run builds no lattice; it holds 8 index bytes and 3 verdict bytes
 # per sampled row, within the same 600 MB.  The cap still bounds n there,
 # since the batch search frontier has no per-row cap.
 _LATTICE_CAP = 200_000_000
 _SAMPLE_ROW_BYTES = 8 + 3
-# Rows per engine batch; the working set of a batch is a few MB.
+# Rows per engine batch, at most; the working set of a batch is a few MB.
 _CHUNK_ROWS = 1 << 16
 # Search nodes per spot-checked graph; one that needs more is skipped.
 _SPOT_BUDGET = 2_000_000
@@ -161,13 +162,14 @@ def verify_equivalence(
     vertices (exhaustive), or over `sample` uniform labellings on exactly
     n_max vertices when sample is given.
 
-    Rows go through the engine in chunks of _CHUNK_ROWS lattice indices.
-    In exhaustive mode the search verdict is the completability lattice and
-    the witness-free verdict the obstruction lattice, negated in place; in
-    sampled mode no lattice is built, and each chunk's verdicts come from
-    the batch search and the row scan on the rows it decoded.  Per n only
-    one byte per row is kept for each verdict; the few rows that a spot
-    check or an example needs are decoded again on demand.
+    Rows go through the engine in chunks of at most _CHUNK_ROWS.  In
+    exhaustive mode the search verdict is the completability lattice, the
+    witness-free verdict the obstruction lattice negated in place, and a
+    chunk an aligned lattice block, not decoded; in sampled mode each
+    chunk's verdicts come from the batch search and the row scan on the
+    rows it decoded.  Per n one byte per row is kept for each verdict, and
+    mismatches are counted per chunk; the few rows an example or a spot
+    check needs are decoded on demand.
     """
     if n_max < 3:
         raise ValueError("n_max must be at least 3")
@@ -186,14 +188,13 @@ def verify_equivalence(
     # start without it.
     import numpy as np
 
-    from .engine import Engine
+    from .engine import Engine, unpack
 
     ctx = default_context(p, m)
     start = time.monotonic()
     rng = np.random.default_rng(seed)
     checked = 0
-    wit_mm = 0
-    mag_mm = 0
+    mismatches = {"witness": 0, "magic": 0}
     examples: list[dict] = []
     fb_graphs = 0
     fb_examples: list[dict] = []
@@ -211,52 +212,59 @@ def verify_equivalence(
         eng = Engine(ctx, n)
         if sample is None:
             # Row i is lattice point i, so the lattice is the search verdict.
-            idx = None
-            total = eng.size
-            points += eng.size
+            # A chunk is an aligned block of base**k points, the most that fit.
+            idx, total = None, eng.size
+            points += total
+            k = next(k for k in range(eng.P, -1, -1) if eng.base**k <= _CHUNK_ROWS)
+            step = eng.base**k
             orc = timed("search", eng.completable_lattice)
             wit_free = timed("obstruction", eng.obstruction_lattice)
             np.logical_not(wit_free, out=wit_free)
         else:
             idx = rng.integers(0, eng.size, size=sample, dtype=np.int64)
-            total = sample
+            total, step = sample, _CHUNK_ROWS
             orc = np.empty(total, dtype=bool)
             wit_free = np.empty(total, dtype=bool)
         magic_ok = np.empty(total, dtype=bool)
+        # The first _EXAMPLE_CAP mismatch positions per route.
+        first: dict[str, list[int]] = {"witness": [], "magic": []}
 
         def rows_at(pos):
             return eng.decode(pos if idx is None else idx[pos])
 
-        for lo in range(0, total, _CHUNK_ROWS):
-            hi = min(lo + _CHUNK_ROWS, total)
-            rows = timed("decode", rows_at, np.arange(lo, hi, dtype=np.int64))
-            filled, fb = timed("complete", eng.complete_batch, rows)
-            magic_ok[lo:hi] = timed("member", eng.member_batch, filled)
-            if idx is not None:
+        for lo in range(0, total, step):
+            hi = min(lo + step, total)
+            if idx is None:
+                planes = timed("decode", eng.block_planes, lo // step, k)
+            else:
+                rows = timed("decode", rows_at, np.arange(lo, hi, dtype=np.int64))
+                planes = timed("decode", eng.planes, rows)
                 wit_free[lo:hi] = ~timed("obstruction", eng.obstruction_batch, rows)
                 orc[lo:hi] = timed("search", eng.completable_batch, rows)
+            filled, fb = timed("complete", eng.complete_batch, planes)
+            magic_ok[lo:hi] = unpack(timed("member", eng.member_batch, filled), hi - lo)
             chunks += 1
-            fb_any = fb.any(axis=1)
-            fb_graphs += int(fb_any.sum())
-            for i in np.flatnonzero(fb_any)[: _FALLBACK_CAP - len(fb_examples)]:
+            fb_at = np.flatnonzero(unpack(np.bitwise_or.reduce(fb, axis=0), hi - lo))
+            fb_graphs += fb_at.size
+            for i in fb_at[: _FALLBACK_CAP - len(fb_examples)]:
                 fb_examples.append(
                     {
                         "n": n,
-                        "graph": eng.row_to_graph(rows[i]).to_json_obj(),
-                        "pairs": [list(eng.pairs[q]) for q in np.flatnonzero(fb[i])],
+                        "graph": eng.row_to_graph(rows_at(np.array([lo + i]))[0]).to_json_obj(),
+                        "pairs": [list(eng.pairs[q]) for q in np.flatnonzero(unpack(fb, hi - lo)[:, i])],
                     }
                 )
+            for kind, verdict in (("witness", wit_free), ("magic", magic_ok)):
+                at = np.flatnonzero(orc[lo:hi] != verdict[lo:hi])
+                mismatches[kind] += at.size
+                first[kind] += (at[: _EXAMPLE_CAP - len(first[kind])] + lo).tolist()
         checked += total
         completable_rows += int(np.count_nonzero(orc))
 
         timed("spot_check", _spot_check, eng, rows_at, orc, magic_ok, wit_free, rng, spot)
 
-        wit_bad = np.flatnonzero(orc != wit_free)
-        mag_bad = np.flatnonzero(orc != magic_ok)
-        wit_mm += wit_bad.size
-        mag_mm += mag_bad.size
-        for kind, bad in (("witness", wit_bad), ("magic", mag_bad)):
-            shown = bad[: max(0, _EXAMPLE_CAP - len(examples))]
+        for kind, at in first.items():
+            shown = np.array(at[: max(0, _EXAMPLE_CAP - len(examples))], dtype=np.int64)
             for i, row in zip(shown, rows_at(shown)):
                 examples.append(
                     _confirmed(eng, row, kind, orc[i], wit_free[i], magic_ok[i])
@@ -278,8 +286,8 @@ def verify_equivalence(
         sample=sample,
         seed=seed if sample is not None else None,
         graphs_checked=checked,
-        witness_mismatch_count=wit_mm,
-        magic_mismatch_count=mag_mm,
+        witness_mismatch_count=mismatches["witness"],
+        magic_mismatch_count=mismatches["magic"],
         mismatch_examples=tuple(examples),
         fallback_graph_count=fb_graphs,
         fallback_examples=tuple(fb_examples),
@@ -294,6 +302,8 @@ def _spot_check(eng, rows_at, orc, magic_ok, wit_free, rng, spot) -> None:
     both sides; any disagreement is an internal error, never a finding.
     rows_at(positions) decodes the rows at those positions."""
     import numpy as np
+
+    from .engine import plane_rows, unpack
 
     total = orc.shape[0]
     p = eng.p
@@ -314,8 +324,8 @@ def _spot_check(eng, rows_at, orc, magic_ok, wit_free, rng, spot) -> None:
         spot["search"] += 1
     chosen = pick(50)
     rows = rows_at(chosen)
-    filled, fb = eng.complete_batch(rows)
-    for i, row, row_filled, row_fb in zip(chosen, rows, filled, fb):
+    filled, fb = eng.complete_batch(eng.planes(rows))
+    for i, row, row_filled, row_fb in zip(chosen, rows, plane_rows(filled, len(rows)), unpack(fb, len(rows)).T):
         g = eng.row_to_graph(row)
         done, trace = magic_complete(eng.ctx, g)
         if eng.row_to_graph(row_filled) != done:

@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -9,7 +10,7 @@ from conftest import run_python
 from mhg import oracle
 from mhg.cli import main
 from mhg.completion import magic_complete
-from mhg.engine import Engine
+from mhg.engine import Engine, plane_rows, unpack
 from mhg.families import enumerate_forbidden, find_witness, is_forbidden, walk_bound
 from mhg.graphs import EdgeLabelledGraph, is_member
 from mhg.magic import default_context
@@ -60,6 +61,14 @@ def lattice_index(eng: Engine, rows: np.ndarray) -> np.ndarray:
     return np.ravel_multi_index(rows.T, (eng.base,) * eng.P)
 
 
+def magic_batch(eng: Engine, rows: np.ndarray):
+    """complete_batch and member_batch on the planes of rows, read back per
+    row: (completed rows, fallback pair mask, membership)."""
+    filled, fb = eng.complete_batch(eng.planes(rows))
+    k = len(rows)
+    return plane_rows(filled, k), unpack(fb, k).T, unpack(eng.member_batch(filled), k)
+
+
 def test_engine_round_trips():
     eng = Engine(default_context(P_III3), 3)
     idx = np.arange(eng.size, dtype=np.int64)
@@ -77,8 +86,7 @@ def test_engine_matches_scalar_routes_delta3_n3():
     eng = Engine(ctx, 3)
     rows = eng.decode(np.arange(eng.size, dtype=np.int64))
     completable = eng.completable_lattice()
-    filled, fb = eng.complete_batch(rows)
-    member = eng.member_batch(filled)
+    filled, fb, member = magic_batch(eng, rows)
     obstructed = eng.obstruction_batch(rows)
     for i in range(eng.size):
         g = eng.row_to_graph(rows[i])
@@ -101,8 +109,7 @@ def test_complete_and_member_batch_match_scalar_delta3_all_n4():
         ctx = default_context(p)
         eng = Engine(ctx, 4)
         rows = eng.decode(np.arange(eng.size, dtype=np.int64))
-        filled, fb = eng.complete_batch(rows)
-        member = eng.member_batch(filled)
+        filled, fb, member = magic_batch(eng, rows)
         fallback_graphs += int(fb.any(axis=1).sum())
         for row, row_filled, row_fb, ok in zip(rows, filled, fb, member):
             g = eng.row_to_graph(row)
@@ -129,15 +136,59 @@ def test_batch_operations_ignore_row_layout(t, n):
     labels = rng.integers(1, eng.base, size=(k, eng.P)) * (rng.random((k, eng.P)) >= 0.45)
     rows = eng.decode(lattice_index(eng, labels))
     assert rows.T.flags.c_contiguous and not rows.flags.c_contiguous
-    filled, fb = eng.complete_batch(rows)
-    want = [filled, fb, eng.member_batch(filled), eng.obstruction_batch(rows), eng.completable_batch(rows)]
+    want = [*magic_batch(eng, rows), eng.obstruction_batch(rows), eng.completable_batch(rows)]
     assert np.array_equal(rows, labels)
-    assert fb.any() and want[2].any() and want[3].any() and want[4].any() and not want[4].all()
+    assert want[1].any() and want[2].any() and want[3].any() and want[4].any() and not want[4].all()
     for layout, sel in [(np.ascontiguousarray, slice(None)), (lambda x: x[::2], slice(None, None, 2))]:
-        got = [*eng.complete_batch(layout(rows)), eng.member_batch(layout(filled))]
-        got += [eng.obstruction_batch(layout(rows)), eng.completable_batch(layout(rows))]
+        got = [*magic_batch(eng, layout(rows)), eng.obstruction_batch(layout(rows))]
+        got.append(eng.completable_batch(layout(rows)))
         for w, g in zip(want, got):
             assert np.array_equal(w[sel], g)
+
+
+@pytest.mark.parametrize(
+    "p, n, chunk_rows, k", [(P_III3, 5, None, 8), (P_IIB, 4, 7, 1)], ids=["delta3-n5", "delta5-n4-chunk7"]
+)
+def test_block_planes_match_decoded_planes(monkeypatch, p, n, chunk_rows, k):
+    """Every aligned block of an exhaustive run, base**k points for the
+    largest k with base**k <= _CHUNK_ROWS, built from the grid of its low
+    pairs and its constant high digits, equals the planes packed from
+    decode; blocks of 6 rows end inside a byte."""
+    if chunk_rows:
+        monkeypatch.setattr(oracle, "_CHUNK_ROWS", chunk_rows)
+    eng = Engine(default_context(p), n)
+    step = eng.base**k
+    assert step <= oracle._CHUNK_ROWS < step * eng.base
+    for block in range(eng.size // step):
+        idx = np.arange(block * step, (block + 1) * step, dtype=np.int64)
+        assert np.array_equal(eng.block_planes(block, k), eng.planes(eng.decode(idx))), block
+
+
+@pytest.mark.parametrize("t", [(3, 1, 3, 10, 9), (5, 3, 3, 16, 13), (6, 3, 4, 16, 15)])
+def test_plane_kernels_on_ragged_batches(t):
+    """complete_batch and member_batch against magic_complete and is_member
+    on batches whose row count is not a multiple of 8, each pair blank with
+    probability 0.45 so fallback pairs occur.  Every plane they return
+    keeps its padding bits 0, so padding is never a row or a fallback."""
+    p = ParameterSequence(*t)
+    ctx = default_context(p)
+    eng = Engine(ctx, 5)
+    rng = np.random.default_rng(sum(t))
+    fallback_graphs = 0
+    for k in (1, 7, 13, 61):
+        rows = (rng.integers(1, eng.base, size=(k, eng.P)) * (rng.random((k, eng.P)) >= 0.45)).astype(np.uint8)
+        filled, fb = eng.complete_batch(eng.planes(rows))
+        member = eng.member_batch(filled)
+        for out in (filled, fb, member):
+            assert not np.unpackbits(out, axis=-1, bitorder="little")[..., k:].any(), k
+        fallback_graphs += int(unpack(fb, k).any(axis=0).sum())
+        for row, row_filled, row_fb, ok in zip(rows, plane_rows(filled, k), unpack(fb, k).T, unpack(member, k)):
+            g = eng.row_to_graph(row)
+            done, trace = magic_complete(ctx, g)
+            assert eng.row_to_graph(row_filled) == done, (k, g)
+            assert {eng.pairs[q] for q in np.flatnonzero(row_fb)} == set(trace.fallback_pairs), (k, g)
+            assert ok == is_member(p, done), (k, g)
+    assert fallback_graphs > 0
 
 
 def test_completable_batch_matches_lattice_all_n4():
@@ -212,8 +263,7 @@ def test_engine_matches_scalar_routes_seeded_rows(p, n):
     assert np.array_equal(lattice_index(eng, rows[:k]), idx)
     completable = eng.completable_lattice()[lattice_index(eng, rows)]
     searched = eng.completable_batch(rows)
-    filled, fb = eng.complete_batch(rows)
-    member = eng.member_batch(filled)
+    filled, fb, member = magic_batch(eng, rows)
     obstructed = eng.obstruction_batch(rows)
     assert np.array_equal(eng.obstruction_lattice()[lattice_index(eng, rows)], obstructed)
     for i, row in enumerate(rows):
@@ -299,7 +349,7 @@ def test_forbidden_cycles_are_obstructions_on_every_route():
             assert eng.obstruction_batch(rows).all(), (p, k)
             if k <= 4:
                 assert eng.obstruction_lattice()[lattice_index(eng, rows)].all(), (p, k)
-            assert not eng.member_batch(eng.complete_batch(rows)[0]).any(), (p, k)
+            assert not magic_batch(eng, rows)[2].any(), (p, k)
     assert members == 916
 
 
@@ -319,13 +369,41 @@ def test_verify_counts_skipped_search_spot_checks(monkeypatch):
 )
 def test_verify_chunk_size_does_not_change_report(monkeypatch, p, n_max, kwargs):
     """A prime chunk size puts chunk boundaries everywhere; the report must
-    not depend on them."""
+    not depend on them.  Exhaustive chunks are aligned blocks of 4 points,
+    the largest power of the base at most 7."""
     want = verify_equivalence(p, n_max, **kwargs)
     monkeypatch.setattr(oracle, "_CHUNK_ROWS", 7)
     got = verify_equivalence(p, n_max, **kwargs)
     assert got.to_json_obj() == want.to_json_obj()
-    rows = [4**3, 4**6] if not kwargs else [400]
-    assert got.stats["chunks"] == sum(-(-r // 7) for r in rows)
+    assert got.stats["chunks"] == (4**3 // 4 + 4**6 // 4 if not kwargs else -(-400 // 7))
+
+
+def test_verify_padding_bits_are_not_rows():
+    """Under delta = 4 the blocks of 5**3 and 5**6 points end inside a
+    byte; the padding bits after them count as neither rows nor fallback
+    graphs."""
+    p = ParameterSequence(4, 1, 4, 10, 11)
+    report = verify_equivalence(p, 4)
+    assert report.ok and report.graphs_checked == 5**3 + 5**6
+    want = 0
+    for n in (3, 4):
+        eng = Engine(default_context(p), n)
+        want += int(magic_batch(eng, eng.decode(np.arange(eng.size)))[1].any(axis=1).sum())
+    assert report.fallback_graph_count == want > 0
+
+
+def test_verify_exhaustive_peak_memory():
+    """An exhaustive run keeps three verdict bytes per lattice point and
+    scans mismatches chunk by chunk: (4,1,4,10,11) to n = 5, 9.8 M points,
+    peaks below 3.5 bytes per point under tracemalloc."""
+    tracemalloc.start()
+    try:
+        report = verify_equivalence(ParameterSequence(4, 1, 4, 10, 11), 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.graphs_checked > 5**10
+    assert peak < 3.5 * 5**10
 
 
 def test_verify_stats_keys():
@@ -421,7 +499,7 @@ def _flip_completion(out):
     """Every completed row with its first pair relabelled 1 -> 2 -> 3 -> 1."""
     filled, fb = out
     filled = filled.copy()
-    filled[:, 0] = filled[:, 0] % 3 + 1
+    filled[0, 1:4] = filled[0, [3, 1, 2]]
     return filled, fb
 
 
@@ -434,7 +512,7 @@ ENGINE_FLIPS = {
     "search route, sampled": ("completable_batch", np.logical_not, 50),
     "completion route": ("complete_batch", _flip_completion, None),
     "fallback log": ("complete_batch", lambda out: (out[0], ~out[1]), None),
-    "membership route": ("member_batch", np.logical_not, None),
+    "membership route": ("member_batch", np.invert, None),
     "obstruction route": ("obstruction_lattice", np.logical_not, None),
     "obstruction route, sampled": ("obstruction_batch", np.logical_not, 50),
 }
@@ -459,7 +537,7 @@ def test_verify_reports_confirmed_mismatches(monkeypatch, capsys):
     """Engine and scalar membership both call every completion a non-member,
     so the magic route disagrees with the search route on exactly the
     completable rows, and every example survives the scalar re-check."""
-    monkeypatch.setattr(Engine, "member_batch", lambda self, rows: np.zeros(len(rows), dtype=bool))
+    monkeypatch.setattr(Engine, "member_batch", lambda self, planes: np.zeros(planes.shape[-1], dtype=np.uint8))
     monkeypatch.setattr(oracle, "is_member", lambda p, g: False)
     report = verify_equivalence(P_III3, 4)
     ctx = default_context(P_III3)
