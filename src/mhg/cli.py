@@ -7,9 +7,9 @@ required), 3 for an internal error: any other exception, such as an engine
 disagreement or running out of memory.  All --json output is serialized
 with sorted keys so identical inputs give byte-identical bytes.
 
-`graph check` and `complete` run on an n x n label matrix and refuse, with
-exit 2, a graph of more than engine.MAX_MATRIX_N (1,000) vertices.  numpy
-is imported only by those two commands and by `verify`.
+`graph check` and `complete` run on per-vertex label bitsets held as Python
+ints and refuse, with exit 2, a graph of more than graphs.MAX_BITSET_N
+(1,000) vertices.  numpy is imported only by `verify`.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ import math
 import sys
 import traceback
 
+from .completion import bitset_complete
 from .families import classify_cycle, enumerate_forbidden, find_witness, is_forbidden
-from .graphs import EdgeLabelledGraph, canonical_cycle, is_member
+from .graphs import EdgeLabelledGraph, canonical_cycle, first_violating_bitset, is_member
 from .magic import default_context, magic_distances
 from .onedelta import is_twisted_pair, render_table
 from .oracle import BudgetExceededError, verify_equivalence
@@ -130,11 +131,9 @@ def cmd_magic_show(args) -> int:
 
 
 def cmd_graph_check(args) -> int:
-    from .engine import first_violating_graph
-
     p = _admissible(args.params)
     g = _load_graph(args.file)
-    viol = first_violating_graph(p, g)
+    viol = first_violating_bitset(p, g)
     member = is_member(p, g, scan=lambda *_: viol)
     if args.json:
         obj = {
@@ -165,12 +164,10 @@ def cmd_graph_check(args) -> int:
 
 
 def cmd_complete(args) -> int:
-    from .engine import complete_graph
-
     p = _admissible(args.params)
     ctx = default_context(p, args.m)
     g = _load_graph(args.file)
-    done, trace = complete_graph(ctx, g)
+    done, trace = bitset_complete(ctx, g)
     if args.trace or args.json:
         obj = {"graph": done.to_json_obj(), "m": ctx.m}
         if args.trace:

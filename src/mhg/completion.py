@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import EdgeLabelledGraph, Pair, canonical_cycle
+from .graphs import EdgeLabelledGraph, Pair, bits, canonical_cycle, label_bitsets
 from .magic import MagicContext
 
 Cycle = tuple[int, ...]
@@ -75,6 +75,61 @@ def magic_complete(
         labels[p] = ctx.m
     completed = EdgeLabelledGraph(g.n, [(u, v, l) for (u, v), l in labels.items()])
     return completed, CompletionTrace(tuple(stages), fallback)
+
+
+def bitset_complete(ctx: MagicContext, g: EdgeLabelledGraph) -> tuple[EdgeLabelledGraph, CompletionTrace]:
+    """magic_complete on per-vertex label bitsets; same graph and trace.  At
+    the stage of distance d, reach[x] ORs over the labelled pairs (x, z) the
+    N[z][b] with label(x, z) (+) b == d.  The fills of x, its blank pairs
+    above x in reach[x], are all found before any is written, and emitted
+    in increasing (x, y) order.  (+) is tabulated only over the labels
+    present, grouped by value and extended when a stage adds a label.
+    """
+    if g.max_label() > ctx.delta:
+        raise ValueError(f"graph labels exceed delta={ctx.delta}")
+    N = label_bitsets(g, ctx.delta)
+    above = [-(2 << x) for x in range(g.n)]
+    blank = [(1 << g.n) - 1 ^ 1 << x ^ sum(Nx.values()) for x, Nx in enumerate(N)]
+    by_value, present = {}, []  # by_value[d][a]: the present labels b with a (+) b == d
+
+    def add_label(a: int) -> None:
+        present.append(a)
+        for b in present:
+            for x, y in {(a, b), (b, a)}:
+                by_value.setdefault(ctx.oplus(a, b), {}).setdefault(x, []).append(y)
+
+    for a in sorted({l for Nx in N for l in Nx}):
+        add_label(a)
+    stages = []
+    for stage, d in enumerate(ctx.permutation, 1):
+        need = sum(1 << x for x in range(g.n) if blank[x] & above[x])  # x with a blank (x, y > x)
+        if not need:
+            break
+        pairs = by_value.get(d, {})
+        reach = [0] * g.n
+        for Nz in N:
+            for a, xs in Nz.items():
+                if xs & need and a in pairs:
+                    v = sum(Nz.get(b, 0) for b in pairs[a])  # the classes are disjoint
+                    for x in bits(xs & need if v else 0):
+                        reach[x] |= v
+        fills = [(x, f) for x in bits(need) if (f := reach[x] & blank[x] & above[x])]
+        if fills and d not in present:
+            add_label(d)
+        filled = []
+        for x, f in fills:
+            N[x][d] = N[x].get(d, 0) | f
+            blank[x] ^= f
+            for y in bits(f):
+                N[y][d] = N[y].get(d, 0) | 1 << x
+                blank[y] ^= 1 << x
+                filled.append((x, y))
+        if filled:
+            stages.append((stage, d, tuple(filled)))
+    fallback = tuple((x, y) for x in bits(need) for y in bits(blank[x] & above[x]))
+    edges = [(u, v, l) for (u, v), l in g.labels.items()] + [(x, y, d) for _, d, ps in stages for x, y in ps]
+    edges += [(x, y, ctx.m) for x, y in fallback]
+    return EdgeLabelledGraph(g.n, edges), CompletionTrace(tuple(stages), fallback)
 
 
 def _adjacent_values(ctx: MagicContext, cycle: Cycle) -> list[int]:

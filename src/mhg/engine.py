@@ -18,10 +18,8 @@ decoded (a grid per Engine for the low pairs, constant high pairs); a
 sampled chunk packs its decoded rows once.  F(p) is read once per Engine:
 its triangles fill forb3, and its longer cycles form a trie of words, walked
 by bit-parallel products of adjacency bitmasks shared across prefixes and by
-the lattice's seeding.
-complete_graph and first_violating_graph run the completion and membership
-routes on one graph held as an (n, n) label matrix, for graphs too large for
-the pure-Python references.
+the lattice's seeding.  The module holds no per-graph code: `mhg complete`
+and `mhg graph check` run on Python-int bitsets in completion and graphs.
 
 The scalar routines in completion, families and oracle stay the reference
 implementations; the verifier cross-checks sampled rows against them and
@@ -30,29 +28,14 @@ treats any disagreement as an internal error rather than a finding.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, permutations, product
 
 import numpy as np
 
-from .completion import CompletionTrace
 from .families import enumerate_forbidden
-from .graphs import EdgeLabelledGraph, TriangleVerdict, triangle_verdict, triangle_violations
+from .graphs import EdgeLabelledGraph, triangle_verdict
 from .magic import MagicContext
-from .params import ParameterSequence
-
-# Largest vertex count the label-matrix routes accept; above it they raise
-# ValueError before allocating.  Their work grows as n^3 and the completed
-# graph holds n^2 / 2 edges: on a 1,000-cycle under (5,3,3,16,13),
-# `mhg complete` took 3.4-4.0 s and 223 MiB on a 2-core Xeon, and `mhg
-# graph check` on the completed graph 4.9-5.2 s and 204 MiB.
-MAX_MATRIX_N = 1000
-
-
-def _oplus_table(ctx: MagicContext, labels) -> np.ndarray:
-    """opl[i, j] = labels[i] (+) labels[j], and 0 where either label is 0
-    (a blank pair).  Stored in the smallest unsigned dtype that holds delta."""
-    rows = [[ctx.oplus(x, y) if x and y else 0 for y in labels] for x in labels]
-    return np.array(rows, dtype=np.min_scalar_type(ctx.delta))
 
 
 def unpack(planes: np.ndarray, count: int) -> np.ndarray:
@@ -107,7 +90,8 @@ class Engine:
         # stay below base**3, so this dtype never wraps.
         self.code_dtype = np.min_scalar_type(self.base**3)
         self.allowed3 = self._allowed_table()
-        self.opl = _oplus_table(ctx, range(self.base))
+        # opl[x, y] = x (+) y, and 0 where either label is 0 (a blank pair).
+        self.opl = np.array([[ctx.oplus(x, y) if x and y else 0 for y in range(self.base)] for x in range(self.base)])
         # Each order of a 3-cycle is a rotation or reflection of it, so a
         # forbidden triangle sets all six orders of forb3.
         forbidden = enumerate_forbidden(self.p)
@@ -282,11 +266,12 @@ class Engine:
         q2, q3) has E[q1, x] & E[q2, y] & OR{E[q3, z] : not allowed3[x, y, z]}."""
         t1, t2, t3 = self.triangles.T
         bad = np.zeros(planes.shape[-1], dtype=np.uint8)
+        # The groups share few z sets, so each distinct set's union is built once.
+        union = cache(lambda zs: np.bitwise_or.reduce(planes[:, zs], axis=1))
         for x, y in product(range(1, self.base), repeat=2):
-            zs = np.flatnonzero(~self.allowed3[x, y])
-            if zs.size:
-                union = np.bitwise_or.reduce(planes[:, zs], axis=1)
-                bad |= np.bitwise_or.reduce(planes[t1, x] & planes[t2, y] & union[t3], axis=0)
+            zs = tuple(np.flatnonzero(~self.allowed3[x, y]).tolist())
+            if zs:
+                bad |= np.bitwise_or.reduce(planes[t1, x] & planes[t2, y] & union(zs)[t3], axis=0)
         # Pair 0 holds one label per row, so its planes' union marks the rows.
         return np.bitwise_or.reduce(planes[0], axis=0) & ~bad
 
@@ -376,106 +361,3 @@ class Engine:
                     stack.append((w, out[alive], idx[alive]))
         return found
 
-
-def _label_matrix(g: EdgeLabelledGraph, value, dtype) -> np.ndarray:
-    """Symmetric (n, n) matrix holding value(label) for each edge of g; 0
-    marks a blank pair and the diagonal."""
-    if g.n > MAX_MATRIX_N:
-        raise ValueError(f"graph has {g.n} vertices; at most {MAX_MATRIX_N} are supported")
-    mat = np.zeros((g.n, g.n), dtype=dtype)
-    labels = g.labels
-    if labels:
-        us, vs = np.array(list(labels), dtype=np.intp).T
-        ls = np.array([value(l) for l in labels.values()], dtype=dtype)
-        mat[us, vs] = ls
-        mat[vs, us] = ls
-    return mat
-
-
-def complete_graph(
-    ctx: MagicContext, g: EdgeLabelledGraph
-) -> tuple[EdgeLabelledGraph, CompletionTrace]:
-    """completion.magic_complete on a label matrix; same graph and trace.
-
-    The matrix holds codes into alpha, the labels present so far (code 0 is
-    a blank pair), and opl is the (+) table over alpha, so its size follows
-    the labels in use, not delta; it is rebuilt when a stage adds a label.  At the stage of distance d a blank pair
-    (x, y) is filled when some z has mat[x, z] (+) mat[z, y] == d, read from
-    the matrix as it stood when the stage began.  Per z, with col =
-    mat[:, z], the (n, n) table of hit[col[x], col[y]] is the row gather
-    hit[:, col][col]; a stage that no pair of present labels reaches is
-    skipped.  Fills are read off the upper triangle in row-major order,
-    which is the reference's lexicographic pair order.
-    """
-    if g.max_label() > ctx.delta:
-        raise ValueError(f"graph labels exceed delta={ctx.delta}")
-    alpha = [0] + sorted(set(g.labels.values()))
-    code = {l: i for i, l in enumerate(alpha)}
-    opl = _oplus_table(ctx, alpha)
-    # Codes, like labels, are at most delta, so opl's dtype holds both.
-    mat = _label_matrix(g, code.__getitem__, opl.dtype)
-    edges = [(u, v, l) for (u, v), l in g.labels.items()]
-    upper = np.triu(np.ones((g.n, g.n), dtype=bool), 1)
-    stages = []
-    for stage, d in enumerate(ctx.permutation, 1):
-        blank = upper & (mat == 0)
-        if not blank.any():
-            break
-        hit = opl == d
-        if not hit.any():
-            continue
-        fill = np.zeros_like(blank)
-        for z in range(g.n):
-            col = mat[:, z]
-            fill |= hit[:, col][col]
-        xs, ys = np.nonzero(fill & blank)
-        if xs.size:
-            if d not in code:
-                code[d] = len(alpha)
-                alpha.append(d)
-                opl = _oplus_table(ctx, alpha)
-            mat[xs, ys] = mat[ys, xs] = code[d]
-            filled = tuple(zip(xs.tolist(), ys.tolist()))
-            edges += [(x, y, d) for x, y in filled]
-            stages.append((stage, d, filled))
-    xs, ys = np.nonzero(upper & (mat == 0))
-    fallback = tuple(zip(xs.tolist(), ys.tolist()))
-    edges += [(x, y, ctx.m) for x, y in fallback]
-    return EdgeLabelledGraph(g.n, edges), CompletionTrace(tuple(stages), fallback)
-
-
-def first_violating_graph(
-    p: ParameterSequence, g: EdgeLabelledGraph
-) -> tuple[tuple[int, int, int], TriangleVerdict] | None:
-    """graphs.first_violating_triangle on a label matrix; same result, and
-    the same ValueError for a label above delta.
-
-    Per u, graphs.triangle_violations runs on arrays over all pairs v, w
-    above u, so no table over the labels is built.  Labels are clipped to
-    delta + 1, and a fully labelled triangle with a label above delta counts
-    as a stop, so the first stop in vertex-triple order is the triple the
-    reference raises or returns on.  triangle_verdict then runs on that
-    triple's real labels.
-    """
-    top = p.delta + 1
-    # The smallest dtype that holds every sum the rule forms and every
-    # constant it compares with: uint8 for the delta <= 5 tuples.
-    dtype = np.min_scalar_type(3 * top + 2 * p.k1 + 2 * p.k2 + p.c0 + p.c1)
-    mat = _label_matrix(g, lambda l: min(l, top), dtype)
-    for u in range(g.n - 2):
-        luv = mat[u, u + 1 :, None]
-        luw = mat[None, u, u + 1 :]
-        lvw = mat[u + 1 :, u + 1 :]
-        stop = (luv > p.delta) | (luw > p.delta) | (lvw > p.delta)
-        for _, hit in triangle_violations(p, luv, luw, lvw):
-            stop |= hit
-        stop &= (luv > 0) & (luw > 0) & (lvw > 0)
-        # The first hit in row-major order has v < w, since the block is
-        # symmetric, the rule is symmetric in the labels and the diagonal
-        # is blank.
-        k = int(stop.argmax())
-        if stop.flat[k]:
-            v, w = u + 1 + k // luv.size, u + 1 + k % luv.size
-            verdict = triangle_verdict(p, g.label(u, v), g.label(u, w), g.label(v, w))
-            return (u, v, w), verdict
-    return None

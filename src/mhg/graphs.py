@@ -9,13 +9,18 @@ from __future__ import annotations
 
 import enum
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import or_
 from typing import Iterator
 
 from .params import ParameterSequence
 
 Pair = tuple[int, int]
+
+# Most vertices the bitset routes accept; README `graph check` gives their cost.
+MAX_BITSET_N = 1000
 
 
 def _norm_pair(u: int, v: int) -> Pair:
@@ -200,12 +205,103 @@ def first_violating_triangle(
     return None
 
 
+def bits(m: int) -> Iterator[int]:
+    """Indices of the set bits of m >= 0, ascending."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+def label_bitsets(g: EdgeLabelledGraph, top: int) -> list[dict[int, int]]:
+    """N[u][l]: bit w set iff pair (u, w) has label l, labels above top in
+    class top + 1.  Above MAX_BITSET_N vertices, ValueError before any work."""
+    if g.n > MAX_BITSET_N:
+        raise ValueError(f"graph has {g.n} vertices; at most {MAX_BITSET_N} are supported")
+    N: list[dict[int, int]] = [{} for _ in range(g.n)]
+    for (u, v), l in g._labels.items():
+        l = min(l, top + 1)
+        N[u][l] = N[u].get(l, 0) | 1 << v
+        N[v][l] = N[v].get(l, 0) | 1 << u
+    return N
+
+
+def allowed_intervals(p: ParameterSequence, a: int, b: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(lo, hi) for even c, then for odd c: (a, b, c) is allowed iff c is in
+    the range of its parity (triangle_violations solved for c)."""
+    s, d = a + b, abs(a - b)
+    odd = (max(d, 2 * p.k1 + 1 - s, s - 2 * p.k2 + 1), min(s, 2 * p.k2 - 1 - d, p.c1 - 1 - s))
+    even = (d, min(s, p.c0 - 1 - s))
+    return (even, odd) if s % 2 == 0 else (odd, even)
+
+
+def first_violating_bitset(
+    p: ParameterSequence, g: EdgeLabelledGraph
+) -> tuple[tuple[int, int, int], TriangleVerdict] | None:
+    """first_violating_triangle on per-vertex label bitsets; same result and
+    the same ValueError.  Labels above delta form one class top that always
+    stops the scan.  For u ascending, each class a at u and v > u in it, bad
+    is the OR over the classes b at u of N[u][b] AND the vertices whose label
+    at v is not allowed with (a, b): a prefix and a suffix of v's sorted
+    classes of each parity (allowed_intervals), read from prefix and suffix
+    ORs.  The least v with bad set and bad's lowest bit w are the first stop
+    at u; triangle_verdict on its real labels raises where the reference does.
+    """
+    top = p.delta + 1
+    N = label_bitsets(g, p.delta)
+    # Per vertex: class-top bits, labelled bits, and per parity present
+    # (parity, sorted classes, ORs before each position, ORs from it on).
+    tabs, has_par = [], [0, 0]  # has_par: the vertices with such a parity
+    for v, Nv in enumerate(N):
+        per = []
+        for par in (0, 1):
+            ls = sorted(c for c in Nv if c % 2 == par and c < top)
+            if ls:
+                suf = [*accumulate((Nv[c] for c in reversed(ls)), or_, initial=0)]
+                per.append((par, ls, [*accumulate((Nv[c] for c in ls), or_, initial=0)], suf[::-1]))
+                has_par[par] |= 1 << v
+        tabs.append((Nv.get(top, 0), sum(Nv.values()), per))
+    intervals: dict[int, dict[int, tuple]] = {}  # [a][b]: allowed_intervals(p, a, b)
+    for u in range(g.n):
+        Nu = N[u]
+        labelled, top_u = sum(Nu.values()), Nu.get(top, 0)
+        order = sorted(((vb.bit_length() - 1, b, vb) for b, vb in Nu.items() if b < top), reverse=True)
+        best = None  # (v, w) of the first stop at u found so far
+        for a, va in Nu.items():
+            va &= -(2 << u) if best is None else -(2 << u) & ((1 << best[0]) - 1)
+            if not va:
+                continue
+            iv = intervals.setdefault(a, {})
+            iv.update((b, allowed_intervals(p, a, b)) for _, b, _ in order if a < top and b not in iv)
+            # rows[par]: (highest bit, N[u][b], allowed lo, hi of c) per b.
+            rows = [
+                [(hb, vb, *iv[b][par]) for hb, b, vb in order] if a < top and va & has_par[par] else []
+                for par in (0, 1)
+            ]
+            for v in bits(va):
+                top_v, labelled_v, per = tabs[v]
+                # Class top always stops.  Bits x < v need no mask: a stop
+                # (u, x, v) makes x a stop of its class, and best keeps min v.
+                bad = labelled & top_v | (top_u if a < top else labelled) & labelled_v
+                for par, ls, pre, suf in per:
+                    for hb, vb, lo, hi in rows[par]:
+                        if hb <= v:
+                            break
+                        bad |= vb & (pre[bisect_left(ls, lo)] | suf[bisect_right(ls, hi)])
+                if bad:
+                    best = (v, (bad & -bad).bit_length() - 1)
+                    break
+        if best is not None:
+            return (u, *best), triangle_verdict(p, g.label(u, best[0]), g.label(u, best[1]), g.label(*best))
+    return None
+
+
 def is_member(p: ParameterSequence, g: EdgeLabelledGraph, scan=first_violating_triangle) -> bool:
     """Complete, labels within 1..delta, and every triangle constraint holds.
 
     scan(p, g) returns g's first violating triangle or None, and runs only
-    when the first two conditions hold; engine.first_violating_graph gives
-    the same answer as the default.
+    when the first two conditions hold; first_violating_bitset gives the
+    same answer as the default.
     """
     return g.is_complete() and g.max_label() <= p.delta and scan(p, g) is None
 

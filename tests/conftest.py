@@ -1,5 +1,5 @@
 """Shared test plumbing: the acceptance criteria summary block, the tuples
-and random graphs of the label-matrix differential tests, and a runner for
+and random graphs of the bitset differential tests, and a runner for
 code that must finish in a fresh process within a time limit.
 
 Each acceptance test records its verdict before asserting, so the final
@@ -41,6 +41,15 @@ def random_graph(rng, n, density, labels):
         if rng.random() < density
     ]
     return EdgeLabelledGraph(n, edges)
+
+
+def many_label_graph(rng, p, n):
+    """A complete graph on n vertices with labels drawn from the even values
+    in delta/2..delta: about delta/4 label classes at each vertex.  Under
+    (300,300,300,902,901) every such graph is a member (all perimeters are
+    even and below C0, and the labels are within a factor of 2)."""
+    evens = range(p.delta // 2 + p.delta // 2 % 2, p.delta + 1, 2)
+    return EdgeLabelledGraph(n, [(u, v, rng.choice(evens)) for u in range(n) for v in range(u + 1, n)])
 
 
 def run_python(args, timeout):

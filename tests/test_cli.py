@@ -494,7 +494,10 @@ def test_family_witness_huge_sparse_graph(tmp_path, edges, code, out):
     assert proc.returncode == code, proc.stderr
     assert proc.stdout.strip() == out
 
-def test_cli_does_not_import_numpy():
+def test_cli_does_not_import_numpy(pentagon):
+    """Only `verify` loads numpy; `graph check` and `complete` run on Python
+    ints.  mhg.oracle is imported with mhg.cli, not lazily: tracers look it
+    up in sys.modules once mhg.cli is imported."""
     code = (
         "import sys\n"
         "import mhg.cli\n"
@@ -502,6 +505,10 @@ def test_cli_does_not_import_numpy():
         "assert 'mhg.oracle' in sys.modules\n"
         "assert mhg.cli.main(['params', 'check', '5', '3', '3', '16', '13']) == 0\n"
         "assert 'numpy' not in sys.modules, 'params check'\n"
+        f"assert mhg.cli.main(['graph', 'check', {pentagon!r}, '--params', *{IIB!r}]) == 0\n"
+        "assert 'numpy' not in sys.modules, 'graph check'\n"
+        f"assert mhg.cli.main(['complete', {pentagon!r}, '--params', *{IIB!r}, '--json', '--trace']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'complete'\n"
     )
     proc = run_python(["-c", code], timeout=60)
     assert proc.returncode == 0, proc.stderr

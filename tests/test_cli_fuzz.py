@@ -45,7 +45,7 @@ def documents(draw):
     """A graph on 3 to 8 vertices with labels 1 to 5 or true, or such a
     graph with one part spoilt: the whole document, n, the edge list, one
     edge or one entry of an edge replaced by any JSON value, or a key left
-    out.  A huge n is refused by the matrix routes before any allocation,
+    out.  A huge n is refused by the bitset routes before any per-vertex work,
     and `family witness` scans only the vertices that carry an edge."""
     n = draw(st.integers(3, 8))
     pairs = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), unique=True, max_size=15))

@@ -1,18 +1,18 @@
 import random
 
 import pytest
-from conftest import MATRIX_TUPLES, WIDE_TUPLES, random_graph
+from conftest import MATRIX_TUPLES, WIDE_TUPLES, many_label_graph, random_graph
 
 from mhg.completion import (
     CompletionTrace,
+    bitset_complete,
     first_stage_value,
     has_tension,
     inverse_steps,
     magic_complete,
     steps,
 )
-from mhg.engine import MAX_MATRIX_N, complete_graph
-from mhg.graphs import EdgeLabelledGraph, canonical_cycle, is_member
+from mhg.graphs import MAX_BITSET_N, EdgeLabelledGraph, canonical_cycle, is_member
 from mhg.magic import MagicContext, default_context, magic_distances
 from mhg.params import ParameterSequence
 
@@ -133,27 +133,30 @@ def test_has_tension():
 
 @pytest.mark.parametrize("p", MATRIX_TUPLES, ids=str)
 def test_complete_graph_matches_magic_complete(p):
-    """The label-matrix completion gives the reference's graph, stages and
+    """The bitset completion gives the reference's graph, stages and
     fallback pairs, for every magic distance of the tuple.  Sparse graphs
-    leave pairs no fork reaches, so the fallback is exercised too."""
+    leave pairs no fork reaches, so the fallback is exercised too.  At
+    n = 70 and 130 a vertex's bitset spans more than one machine word."""
     rng = random.Random(f"complete {p}")
     for m in magic_distances(p):
         ctx = MagicContext(p, m)
         labels = range(1, p.delta + 1)
         graphs = [cycle_graph([rng.choice(labels) for _ in range(60)])]
         graphs.append(random_graph(rng, 40, 0.05, labels))
+        if m == magic_distances(p)[0]:
+            graphs += [random_graph(rng, 70, 0.3, labels), random_graph(rng, 130, 0.1, labels)]
         for _ in range(12):
             n = rng.randint(1, 12)
             graphs.append(random_graph(rng, n, rng.choice((0.1, 0.3, 0.6, 1.0)), labels))
         for g in graphs:
-            assert complete_graph(ctx, g) == magic_complete(ctx, g), g
+            assert bitset_complete(ctx, g) == magic_complete(ctx, g), g
 
 
 @pytest.mark.parametrize("p", WIDE_TUPLES, ids=str)
 def test_complete_graph_matches_magic_complete_wide_delta(p):
-    """Labels and magic distance above 255: the (+) table and the matrix
-    must not wrap around.  Labels come from all of 1..delta, and from a
-    handful of values, so that forks repeat and many pairs fill."""
+    """Labels and magic distance above 255, where a uint8 table would wrap
+    around.  Labels come from all of 1..delta, and from a handful of
+    values, so that forks repeat and many pairs fill."""
     rng = random.Random(f"complete wide {p}")
     ctx = default_context(p)
     few = [1, 2, p.delta // 2, ctx.m, p.delta - 1, p.delta]
@@ -163,7 +166,13 @@ def test_complete_graph_matches_magic_complete_wide_delta(p):
             n = rng.randint(1, 10)
             graphs.append(random_graph(rng, n, rng.choice((0.2, 0.5, 1.0)), labels))
         for g in graphs:
-            assert complete_graph(ctx, g) == magic_complete(ctx, g), g
+            assert bitset_complete(ctx, g) == magic_complete(ctx, g), g
+    # Dozens of labels at every vertex, a tenth of the pairs blank: the
+    # (+) pairs of many present labels, extended as stages add labels.
+    for n in (12, 40):
+        g = many_label_graph(rng, p, n)
+        g = EdgeLabelledGraph(n, [e for e in g.edges() if rng.random() > 0.1])
+        assert bitset_complete(ctx, g) == magic_complete(ctx, g), g
 
 
 def test_complete_graph_rejects_what_the_reference_rejects():
@@ -171,6 +180,6 @@ def test_complete_graph_rejects_what_the_reference_rejects():
     with pytest.raises(ValueError) as ref:
         magic_complete(CTX, big)
     with pytest.raises(ValueError, match=str(ref.value)):
-        complete_graph(CTX, big)
+        bitset_complete(CTX, big)
     with pytest.raises(ValueError, match="vertices"):
-        complete_graph(CTX, EdgeLabelledGraph(MAX_MATRIX_N + 1))
+        bitset_complete(CTX, EdgeLabelledGraph(MAX_BITSET_N + 1))

@@ -2,21 +2,23 @@ import json
 import random
 
 import pytest
-from conftest import MATRIX_TUPLES, WIDE_TUPLES, random_graph, run_python
+from conftest import MATRIX_TUPLES, WIDE_TUPLES, many_label_graph, random_graph, run_python
 
-from mhg.completion import magic_complete
-from mhg.engine import first_violating_graph
+from mhg.completion import bitset_complete, magic_complete
 from mhg.graphs import (
     EdgeLabelledGraph,
     TriangleViolation,
     canonical_cycle,
     closed_walks_with_vertices,
+    allowed_intervals,
+    first_violating_bitset,
     first_violating_triangle,
     is_member,
     triangle_verdict,
+    triangle_violations,
 )
 from mhg.magic import default_context
-from mhg.params import ParameterSequence
+from mhg.params import ParameterSequence, enumerate_admissible
 
 P = ParameterSequence(5, 3, 3, 16, 13)
 
@@ -207,23 +209,28 @@ def outcome(fn, p, g):
 
 
 def assert_same_scan(p, g):
-    got = outcome(first_violating_graph, p, g)
+    got = outcome(first_violating_bitset, p, g)
     assert got == outcome(first_violating_triangle, p, g), g
     if not isinstance(got, str):
-        assert is_member(p, g, scan=first_violating_graph) == is_member(p, g), g
+        assert is_member(p, g, scan=first_violating_bitset) == is_member(p, g), g
 
 
 @pytest.mark.parametrize("p", MATRIX_TUPLES, ids=str)
 def test_first_violating_graph_matches_reference(p):
     """Same first triple and verdict as the scalar scan, on completed
     graphs (most are members, so the whole graph is scanned) and on
-    random partial ones (most have a violating triangle)."""
+    random partial ones (most have a violating triangle).  At n = 70 and
+    130 a vertex's bitset spans more than one machine word."""
     rng = random.Random(f"scan {p}")
     ctx = default_context(p)
     labels = list(range(1, p.delta + 1))
-    for n in (1, 2, 3, 4, 5, 8, 12, 20, 35, 60):
-        sparse = random_graph(rng, n, 0.08, labels)
-        assert_same_scan(p, magic_complete(ctx, sparse)[0])
+    for n in (1, 2, 3, 4, 5, 8, 12, 20, 35, 60, 70, 130):
+        done = bitset_complete(ctx, random_graph(rng, n, 0.08, labels))[0]
+        if n == 130:
+            # Half the pairs of a member: the reference scans every triple
+            # of the whole graph in a quarter of the time.
+            done = EdgeLabelledGraph(n, [e for e in done.edges() if rng.random() < 0.5])
+        assert_same_scan(p, done)
         assert_same_scan(p, random_graph(rng, n, rng.choice((0.3, 0.7, 1.0)), labels))
 
 
@@ -250,3 +257,39 @@ def test_first_violating_graph_wide_delta(p):
         assert_same_scan(p, magic_complete(ctx, random_graph(rng, n, 0.15, few))[0])
         for labels in (few, few + [p.delta + 1], few + [10**12]):
             assert_same_scan(p, random_graph(rng, n, rng.choice((0.5, 1.0)), labels))
+    # Dozens of label classes at every vertex, as is, with one pair
+    # relabelled by an odd label, and with one label above delta.
+    for n in (8, 20, 40):
+        g = many_label_graph(rng, p, n)
+        assert_same_scan(p, g)
+        edges = g.edges()
+        for label in (p.delta // 2 + 1, p.delta + 1):
+            k = rng.randrange(len(edges))
+            assert_same_scan(p, EdgeLabelledGraph(n, edges[:k] + [edges[k][:2] + (label,)] + edges[k + 1 :]))
+
+
+SMALL_TUPLES = [p for d in range(3, 9) for p in enumerate_admissible(d)]
+
+
+@pytest.mark.parametrize("tuples", [SMALL_TUPLES, WIDE_TUPLES], ids=["delta<=8", "wide"])
+def test_allowed_intervals_match_triangle_violations(tuples):
+    """For every admissible tuple with delta <= 8 and the wide tuples, and
+    every a, b, c in 1..delta: c lies in the interval of its parity exactly
+    when triangle_violations finds nothing.  Checked on (a, b, c) arrays,
+    a block of a at a time."""
+    import numpy as np
+
+    for p in tuples:
+        # iv[a - 1, b - 1, parity of c] = (lo, hi)
+        iv = np.array([[allowed_intervals(p, a, b) for b in range(1, p.delta + 1)] for a in range(1, p.delta + 1)])
+        for first in range(1, p.delta + 1, 20):
+            grid = np.ogrid[first : min(first + 20, p.delta + 1), 1 : p.delta + 1, 1 : p.delta + 1]
+            a, b, c = (x.astype(np.int16) for x in grid)  # every sum the rule forms is below 2^15
+            block = iv[first - 1 : first + 19, :, None]  # (a, b, 1, parity of c, (lo, hi))
+            ends = np.where((c % 2 == 1)[..., None], block[..., 1, :], block[..., 0, :])
+            lo, hi = ends[..., 0], ends[..., 1]
+            bad = np.zeros(lo.shape, dtype=bool)
+            for _, hit in triangle_violations(p, a, b, c):
+                bad |= hit
+            wrong = np.argwhere(((lo <= c) & (c <= hi)) == bad)
+            assert wrong.size == 0, (p, *(wrong[0] + [first, 1, 1]))
