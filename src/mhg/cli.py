@@ -5,7 +5,9 @@ mismatch or `family witness` found a witness, 2 for usage or input errors
 (malformed graph JSON, non-admissible parameters where admissibility is
 required), 3 for an internal error: any other exception, such as an engine
 disagreement or running out of memory.  All --json output is serialized
-with sorted keys so identical inputs give byte-identical bytes.
+with sorted keys so identical inputs give byte-identical bytes.  As a program,
+a command whose stdout reader closes (`mhg params list 40 | head -1`) ends on
+SIGPIPE, without a traceback, where the platform has that signal.
 
 `graph check` and `complete` run on per-vertex label bitsets held as Python
 ints and refuse, with exit 2, a graph of more than graphs.MAX_BITSET_N
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import signal
 import sys
 import traceback
 
@@ -98,6 +101,8 @@ def cmd_magic_show(args) -> int:
     p = _admissible(args.params)
     ctx = default_context(p, args.m)
     candidates = magic_distances(p)
+    times = [None if math.isinf(t) else int(t) for t in map(ctx.time, range(1, p.delta + 1))]
+    table = ctx.oplus_table()
     if args.json:
         obj = {
             "params": list(p.as_tuple()),
@@ -105,8 +110,8 @@ def cmd_magic_show(args) -> int:
             "candidates": candidates,
             "m": ctx.m,
             "permutation": list(ctx.permutation),
-            "time": [None if math.isinf(ctx.time(x)) else int(ctx.time(x)) for x in range(1, p.delta + 1)],
-            "oplus": ctx.oplus_table(),
+            "time": times,
+            "oplus": table,
         }
         print(_dumps(obj))
         return 0
@@ -114,19 +119,11 @@ def cmd_magic_show(args) -> int:
     print("magic distances: " + " ".join(str(m) for m in candidates))
     print(f"m = {ctx.m}")
     print("permutation: " + " ".join(str(d) for d in ctx.permutation))
-    print(
-        "time: "
-        + " ".join(
-            f"t({x})=" + ("inf" if math.isinf(ctx.time(x)) else str(int(ctx.time(x))))
-            for x in range(1, p.delta + 1)
-        )
-    )
+    print("time: " + " ".join(f"t({x})={'inf' if t is None else t}" for x, t in enumerate(times, 1)))
     width = len(str(p.delta))
-    head = " " * (width + 2) + " ".join(str(y).rjust(width) for y in range(1, p.delta + 1))
-    print(head)
-    for x in range(1, p.delta + 1):
-        row = " ".join(str(ctx.oplus(x, y)).rjust(width) for y in range(1, p.delta + 1))
-        print(f"{str(x).rjust(width)} | {row}")
+    print(" " * (width + 2) + " ".join(str(y).rjust(width) for y in range(1, p.delta + 1)))
+    for x, row in enumerate(table, 1):
+        print(f"{str(x).rjust(width)} | " + " ".join(str(c).rjust(width) for c in row))
     return 0
 
 
@@ -422,6 +419,8 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
+    if hasattr(signal, "SIGPIPE"):  # a closed stdout pipe ends the process quietly
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

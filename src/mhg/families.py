@@ -18,6 +18,7 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, combinations_with_replacement
+from math import comb
 from typing import Iterator
 
 from .graphs import EdgeLabelledGraph, canonical_cycle
@@ -232,12 +233,22 @@ def _arrangements(ms: Cycle) -> set[Cycle]:
     return {canonical_cycle((ms[0],) + rest) for rest in _distinct_perms(ms[1:])}
 
 
+# Most label multisets _forbidden_multisets tests.  Every delta <= 9 tuple
+# fits (at most 3.1 million, 23-33 s on a 2-core Xeon); most delta = 10 do not.
+MAX_MULTISETS = 4_000_000
+
+
 @functools.cache
 def _forbidden_multisets(p: ParameterSequence) -> tuple[Cycle, ...]:
     """Label multisets of the obstruction cycles, ascending tuples, by length;
-    cached, as every Engine and the prefix table of p read them."""
+    cached, as every Engine and the prefix table of p read them.  ValueError,
+    before any work, when there are more than MAX_MULTISETS to test."""
     tags = active_tags(p)
-    pool = [combinations_with_replacement(range(1, p.delta + 1), k) for k in range(3, walk_bound(p) + 1)]
+    sizes = range(3, walk_bound(p) + 1)
+    count = sum(comb(p.delta + k - 1, k) for k in sizes)
+    if count > MAX_MULTISETS:
+        raise ValueError(f"enumerating F{p} tests {count} label multisets; at most {MAX_MULTISETS} are supported")
+    pool = [combinations_with_replacement(range(1, p.delta + 1), k) for k in sizes]
     return tuple(ms for part in pool for ms in part if not _holding_tags(p, ms).isdisjoint(tags))
 
 

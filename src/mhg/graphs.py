@@ -11,6 +11,7 @@ import enum
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate, combinations
 from operator import or_
 from typing import Iterator
@@ -105,12 +106,10 @@ class EdgeLabelledGraph:
         edges = obj.get("edges", [])
         if not isinstance(edges, list):
             raise ValueError("\"edges\" must be a list of [u, v, label] triples")
-        parsed = []
         for i, e in enumerate(edges):
             if not (isinstance(e, list) and len(e) == 3 and all(isinstance(x, int) for x in e)):
                 raise ValueError(f"edges[{i}] must be an integer triple [u, v, label]")
-            parsed.append(tuple(e))
-        return cls(n, parsed)
+        return cls(n, edges)
 
     @classmethod
     def loads(cls, text: str) -> "EdgeLabelledGraph":
@@ -220,7 +219,7 @@ def label_bitsets(g: EdgeLabelledGraph, top: int) -> list[dict[int, int]]:
         raise ValueError(f"graph has {g.n} vertices; at most {MAX_BITSET_N} are supported")
     N: list[dict[int, int]] = [{} for _ in range(g.n)]
     for (u, v), l in g._labels.items():
-        l = min(l, top + 1)
+        l = l if l <= top else top + 1  # not min(): this runs once per edge
         N[u][l] = N[u].get(l, 0) | 1 << v
         N[v][l] = N[v].get(l, 0) | 1 << u
     return N
@@ -240,59 +239,49 @@ def first_violating_bitset(
 ) -> tuple[tuple[int, int, int], TriangleVerdict] | None:
     """first_violating_triangle on per-vertex label bitsets; same result and
     the same ValueError.  Labels above delta form one class top that always
-    stops the scan.  For u ascending, each class a at u and v > u in it, bad
-    is the OR over the classes b at u of N[u][b] AND the vertices whose label
-    at v is not allowed with (a, b): a prefix and a suffix of v's sorted
-    classes of each parity (allowed_intervals), read from prefix and suffix
-    ORs.  The least v with bad set and bad's lowest bit w are the first stop
-    at u; triangle_verdict on its real labels raises where the reference does.
+    stops the scan.  For u ascending, one pass over the labelled v > u in
+    ascending order: with a the class of (u, v), bad is the OR over the
+    classes b at u of N[u][b] AND the vertices whose label at v is not
+    allowed with (a, b): a prefix and a suffix of v's sorted classes of each
+    parity (allowed_intervals), read from prefix and suffix ORs.  The first v
+    with bad set, and bad's lowest bit w, are the first stop; triangle_verdict
+    on its real labels raises where the reference does.
     """
     top = p.delta + 1
     N = label_bitsets(g, p.delta)
     # Per vertex: class-top bits, labelled bits, and per parity present
     # (parity, sorted classes, ORs before each position, ORs from it on).
-    tabs, has_par = [], [0, 0]  # has_par: the vertices with such a parity
-    for v, Nv in enumerate(N):
+    tabs = []
+    for Nv in N:
         per = []
         for par in (0, 1):
             ls = sorted(c for c in Nv if c % 2 == par and c < top)
             if ls:
                 suf = [*accumulate((Nv[c] for c in reversed(ls)), or_, initial=0)]
                 per.append((par, ls, [*accumulate((Nv[c] for c in ls), or_, initial=0)], suf[::-1]))
-                has_par[par] |= 1 << v
         tabs.append((Nv.get(top, 0), sum(Nv.values()), per))
-    intervals: dict[int, dict[int, tuple]] = {}  # [a][b]: allowed_intervals(p, a, b)
+    intervals = cache(lambda a, b: allowed_intervals(p, a, b))
     for u in range(g.n):
         Nu = N[u]
         labelled, top_u = sum(Nu.values()), Nu.get(top, 0)
         order = sorted(((vb.bit_length() - 1, b, vb) for b, vb in Nu.items() if b < top), reverse=True)
-        best = None  # (v, w) of the first stop at u found so far
-        for a, va in Nu.items():
-            va &= -(2 << u) if best is None else -(2 << u) & ((1 << best[0]) - 1)
-            if not va:
-                continue
-            iv = intervals.setdefault(a, {})
-            iv.update((b, allowed_intervals(p, a, b)) for _, b, _ in order if a < top and b not in iv)
-            # rows[par]: (highest bit, N[u][b], allowed lo, hi of c) per b.
-            rows = [
-                [(hb, vb, *iv[b][par]) for hb, b, vb in order] if a < top and va & has_par[par] else []
-                for par in (0, 1)
-            ]
-            for v in bits(va):
-                top_v, labelled_v, per = tabs[v]
-                # Class top always stops.  Bits x < v need no mask: a stop
-                # (u, x, v) makes x a stop of its class, and best keeps min v.
-                bad = labelled & top_v | (top_u if a < top else labelled) & labelled_v
-                for par, ls, pre, suf in per:
-                    for hb, vb, lo, hi in rows[par]:
-                        if hb <= v:
-                            break
-                        bad |= vb & (pre[bisect_left(ls, lo)] | suf[bisect_right(ls, hi)])
-                if bad:
-                    best = (v, (bad & -bad).bit_length() - 1)
-                    break
-        if best is not None:
-            return (u, *best), triangle_verdict(p, g.label(u, best[0]), g.label(u, best[1]), g.label(*best))
+        rows: dict[int, list] = {}  # [a][parity of c]: (highest bit, N[u][b], allowed lo, hi of c) per b
+        for v, a in sorted((v, a) for a, va in Nu.items() for v in bits(va & -(2 << u))):
+            row = rows.get(a) or rows.setdefault(a, [None, None])  # for a = top rows add nothing: bad holds every w
+            top_v, labelled_v, per = tabs[v]
+            # Class top always stops.  bad has no bit w < v: a stop on w, u
+            # and v would have stopped the scan at w or at an earlier u.
+            bad = labelled & top_v | (top_u if a < top else labelled) & labelled_v
+            for par, ls, pre, suf in per:
+                if row[par] is None:  # built when first needed
+                    row[par] = [(hb, vb, *intervals(a, b)[par]) for hb, b, vb in order]
+                for hb, vb, lo, hi in row[par]:
+                    if hb <= v:
+                        break
+                    bad |= vb & (pre[bisect_left(ls, lo)] | suf[bisect_right(ls, hi)])
+            if bad:
+                w = (bad & -bad).bit_length() - 1
+                return (u, v, w), triangle_verdict(p, g.label(u, v), g.label(u, w), g.label(v, w))
     return None
 
 

@@ -52,17 +52,22 @@ def many_label_graph(rng, p, n):
     return EdgeLabelledGraph(n, [(u, v, rng.choice(evens)) for u in range(n) for v in range(u + 1, n)])
 
 
+def python_env():
+    """The environment with src/ first on PYTHONPATH."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join([src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def run_python(args, timeout):
     """`python ARGS` in a fresh process, src/ on the path; raises
     subprocess.TimeoutExpired after timeout seconds."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    path = os.pathsep.join([src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
         timeout=timeout,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=python_env(),
     )
 
 

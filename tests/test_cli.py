@@ -1,7 +1,9 @@
 import json
+import subprocess
+import sys
 
 import pytest
-from conftest import run_python
+from conftest import python_env, run_python
 
 from mhg import cli
 from mhg.cli import main
@@ -493,6 +495,38 @@ def test_family_witness_huge_sparse_graph(tmp_path, edges, code, out):
     proc = run_python(["-m", "mhg", "family", "witness", str(path), "--params", *IIB], timeout=30)
     assert proc.returncode == code, proc.stderr
     assert proc.stdout.strip() == out
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["family", "enumerate"], ["family", "witness", "TRIANGLE"], ["verify", "--n-max", "3"]],
+    ids=["enumerate", "witness", "verify"],
+)
+def test_oversized_obstruction_set_refused(triangle, command):
+    """Under (10,1,9,24,23) F(p) means testing 2.0e7 label multisets, minutes
+    of work: each command that enumerates it exits 2 before starting."""
+    argv = [triangle if a == "TRIANGLE" else a for a in command]
+    proc = run_python(["-m", "mhg", *argv, "--params", "10", "1", "9", "24", "23"], timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "tests 20029944 label multisets; at most 4000000 are supported" in proc.stderr
+
+
+def test_closed_stdout_pipe_is_quiet():
+    """A reader that stops after one line, as `mhg params list 40 | head -1`
+    does, ends the 199 kB listing without a traceback or exit code 3."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mhg", "params", "list", "40"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=python_env(),
+    )
+    assert proc.stdout.readline() == b"40 1 39 84 83  III\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode != 3
+    assert b"Traceback" not in err and b"internal error" not in err, err
+
 
 def test_cli_does_not_import_numpy(pentagon):
     """Only `verify` loads numpy; `graph check` and `complete` run on Python

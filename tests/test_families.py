@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 from itertools import combinations, combinations_with_replacement, product
 
@@ -221,6 +222,16 @@ def test_walk_bound_frozen():
     assert walk_bound(P_IIB) == 8
     assert walk_bound(P_III3) == 5
     assert walk_bound(P_III4) == 4
+
+
+def test_multiset_cap_admits_every_delta9_tuple():
+    """The F(p) enumeration tests C(delta + k - 1, k) multisets of each size
+    k in 3..walk_bound(p): every tuple with delta <= 9 stays within
+    MAX_MULTISETS.  test_cli pins the refusal above it."""
+    for d in range(3, 10):
+        for p in enumerate_admissible(d):
+            count = sum(math.comb(d + k - 1, k) for k in range(3, walk_bound(p) + 1))
+            assert count <= families.MAX_MULTISETS, p
 
 
 def test_enumerate_forbidden_shape():

@@ -87,6 +87,13 @@ def test_from_json_rejects(obj):
         EdgeLabelledGraph.from_json_obj(obj)
 
 
+def test_from_json_checks_types_before_values():
+    """Every entry is type-checked before any edge is built, so a mistyped
+    entry is reported even after an out-of-range one."""
+    with pytest.raises(ValueError, match=r"^edges\[1\] must be an integer triple \[u, v, label\]$"):
+        EdgeLabelledGraph.from_json_obj({"n": 3, "edges": [[0, 5, 1], [0, "1", 2]]})
+
+
 def test_canonical_cycle():
     assert canonical_cycle((3, 1, 2)) == (1, 2, 3)
     assert canonical_cycle((2, 1, 3)) == (1, 2, 3)  # reflection reaches (1,2,3) too
