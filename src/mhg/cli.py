@@ -11,7 +11,9 @@ SIGPIPE, without a traceback, where the platform has that signal.
 
 `graph check` and `complete` run on per-vertex label bitsets held as Python
 ints and refuse, with exit 2, a graph of more than graphs.MAX_BITSET_N
-(1,000) vertices.  numpy is imported only by `verify`.
+(1,000) vertices.  `family witness` exits 2 once its search has popped
+more than families.WITNESS_BUDGET (2,000,000) partial walks.  numpy is
+imported only by `verify`.
 """
 
 from __future__ import annotations

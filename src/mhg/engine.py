@@ -63,28 +63,24 @@ class Engine:
         self.base = self.p.delta + 1
         self.pairs: list[tuple[int, int]] = list(combinations(range(n), 2))
         self.P = len(self.pairs)
-        pair_index = {pr: q for q, pr in enumerate(self.pairs)}
-
-        def pair(a: int, b: int) -> int:
-            return pair_index[(min(a, b), max(a, b))]
-
+        # pair[u, v] = pair[v, u] = the index of the pair {u, v}.
+        self.pair = np.zeros((n, n), dtype=np.intp)
+        self.pair[np.triu_indices(n, 1)] = self.pair.T[np.triu_indices(n, 1)] = np.arange(self.P)
         # partners[:, q, k] = the pairs (u, z), (v, z) for pair q = (u, v)
         # and its k-th third vertex z, in increasing z.
-        partners = [[(pair(u, z), pair(v, z)) for z in range(n) if z != u and z != v] for u, v in self.pairs]
-        self.partners = np.moveaxis(np.array(partners, dtype=np.intp), 2, 0)
+        third = [[z for z in range(n) if z not in pr] for pr in self.pairs]
+        self.partners = self.pair[np.array(self.pairs).T[:, :, None], third]
         self._grids: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # block_planes' (grid, ones)
         # nbrs[u, k] = the pair (u, v) for the k-th vertex v != u, and
         # nbr_bits[u, k] = 1 << v: one gather through nbrs turns a label into
         # (B, n) row bitmasks of its adjacency.
-        self.nbrs = np.array([[pair(u, v) for v in range(n) if v != u] for u in range(n)], dtype=np.intp)
+        self.nbrs = self.pair[~np.eye(n, dtype=bool)].reshape(n, n - 1)
         self.bit_dtype = np.min_scalar_type(1 << (n - 1))
         self.nbr_bits = np.array([[1 << v for v in range(n) if v != u] for u in range(n)], self.bit_dtype)
         # Pair indices of each triangle come out sorted because the pair list
         # is lexicographic; the reshape in completable_lattice relies on that.
-        self.triangles = np.array(
-            [(pair(i, j), pair(i, k), pair(j, k)) for i, j, k in combinations(range(n), 3)],
-            dtype=np.intp,
-        )
+        i, j, k = np.array(list(combinations(range(n), 3))).T
+        self.triangles = np.stack([self.pair[i, j], self.pair[i, k], self.pair[j, k]], axis=1)
         self.size = self.base**self.P
         # Codes a*base + b and (a*base + b)*base + c of labels below base
         # stay below base**3, so this dtype never wraps.
@@ -298,13 +294,11 @@ class Engine:
         a, b, c = np.nonzero(self.forb3)
         for q1, q2, q3 in self.triangles.tolist():
             O[a * pw[q1] + b * pw[q2] + c * pw[q3]] = True
-        pair = np.zeros((n, n), dtype=np.intp)
-        pair[np.triu_indices(n, 1)] = pair.T[np.triu_indices(n, 1)] = np.arange(self.P)
 
         def step(idx, cur, z, l):
             """Indices after the step cur -> z labelled l, and which walks survive it."""
-            digit = idx // pw[pair[cur, z]] % self.base
-            return idx + (digit == 0) * (l * pw[pair[cur, z]]), (cur != z) & ((digit == 0) | (digit == l))
+            digit = idx // pw[self.pair[cur, z]] % self.base
+            return idx + (digit == 0) * (l * pw[self.pair[cur, z]]), (cur != z) & ((digit == 0) | (digit == l))
 
         verts = np.arange(n)
         stack = [((), verts, verts, np.zeros(n, dtype=np.int64))] if self.words else []

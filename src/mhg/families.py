@@ -260,32 +260,30 @@ def enumerate_forbidden(p: ParameterSequence) -> list[Cycle]:
     return sorted(out, key=lambda c: (len(c), c))
 
 
-@functools.cache
-def _prefix_table(p: ParameterSequence) -> tuple[list[int], dict[int, tuple[set[int], set[int]]]]:
-    """Label weights and, per walk length L, the (prefixes, accepted) key sets.
+class BudgetExceededError(RuntimeError):
+    """Search or lattice size exceeded the configured budget."""
 
-    A label multiset is keyed by its count vector read as digits in base
-    walk_bound(p) + 1, so adding label l adds weight[l].  accepted holds the
-    keys of the forbidden multisets of size L; prefixes holds every
-    sub-multiset of one of them, down to the empty multiset (key 0).
-    """
+
+# Partial walks find_witness pops, at most, as in oracle's search budget.  On
+# a 2-core Xeon under (6,1,6,16,15), a completed random 200-cycle (no witness)
+# needs 264,534 (1.3 s); a completed 1,000-cycle hits the cap after 42-47 s.
+WITNESS_BUDGET = 2_000_000
+
+
+@functools.cache
+def _prefix_table(p: ParameterSequence) -> tuple[list[int], dict[int, set[int]]]:
+    """Label weights and, per walk length L, the keys of every sub-multiset
+    of a forbidden multiset of size L, the empty one (key 0) and the forbidden
+    ones included.  A multiset's key is its count vector read as digits in
+    base walk_bound(p) + 1, so adding label l adds weight[l].  The keys of L
+    labels in the set for L are exactly the forbidden multisets of size L."""
     base = walk_bound(p) + 1
     weight = [0] + [base ** (l - 1) for l in range(1, p.delta + 1)]
-    tables: dict[int, tuple[set[int], set[int]]] = {}
+    tables: dict[int, set[int]] = {}
     for ms in _forbidden_multisets(p):
-        accepted = tables.setdefault(len(ms), (set(), set()))[1]
-        accepted.add(sum(weight[l] for l in ms))
-    for prefixes, accepted in tables.values():
-        level = accepted
-        while level:
-            prefixes |= level
-            level = {
-                key - weight[l]
-                for key in level
-                for l in range(1, p.delta + 1)
-                if key // weight[l] % base
-            }
-        prefixes.add(0)
+        keys = tables.setdefault(len(ms), set())
+        for subsets in _distinct_subsets(ms[::-1]).values():
+            keys.update(sum(weight[l] for l in s) for s in subsets)
     return weight, tables
 
 
@@ -301,13 +299,17 @@ def find_witness(
     Membership depends only on the label multiset, so at walk length L the
     depth-first search extends a partial walk only while its labels form a
     sub-multiset of some forbidden multiset of size L (a prefix of a rotation
-    or reflection of a forbidden word).  The pruned subtrees hold no
+    or reflection of a forbidden word), and a closed walk of L labels
+    qualifies when its key is in the same set.  The pruned subtrees hold no
     qualifying walk, so the first hit is the one a full scan would find.
+    BudgetExceededError once the search has popped more than WITNESS_BUDGET
+    partial walks.
     """
     if g.max_label() > p.delta:
         raise ValueError(f"graph labels exceed delta={p.delta}")
     tags = active_tags(p)
     weight, tables = _prefix_table(p)
+    budget, popped = WITNESS_BUDGET, 0
     # Only vertices that carry an edge lie on a closed walk, so neither the
     # neighbour lists nor the walk starts span all n vertices.
     adj: dict[int, dict[int, int]] = {}
@@ -316,15 +318,17 @@ def find_witness(
         adj.setdefault(v, {})[u] = l
     nbrs = {u: sorted(a.items()) for u, a in adj.items()}
     starts = sorted(adj, reverse=True)
-    for length in sorted(tables):
-        prefixes, accepted = tables[length]
+    for length, prefixes in sorted(tables.items()):
         stack = [((v,), 0) for v in starts]
         while stack:
             path, key = stack.pop()
+            popped += 1
+            if popped > budget:
+                raise BudgetExceededError(f"witness search exceeded budget {budget} partial walks")
             last = path[-1]
             if len(path) == length:
                 closing = adj[last].get(path[0])
-                if closing is not None and key + weight[closing] in accepted:
+                if closing is not None and key + weight[closing] in prefixes:
                     labels = tuple(
                         adj[path[i]][path[(i + 1) % length]] for i in range(length)
                     )

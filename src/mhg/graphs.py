@@ -263,7 +263,7 @@ def first_violating_bitset(
     intervals = cache(lambda a, b: allowed_intervals(p, a, b))
     for u in range(g.n):
         Nu = N[u]
-        labelled, top_u = sum(Nu.values()), Nu.get(top, 0)
+        top_u, labelled, _ = tabs[u]
         order = sorted(((vb.bit_length() - 1, b, vb) for b, vb in Nu.items() if b < top), reverse=True)
         rows: dict[int, list] = {}  # [a][parity of c]: (highest bit, N[u][b], allowed lo, hi of c) per b
         for v, a in sorted((v, a) for a, va in Nu.items() for v in bits(va & -(2 << u))):

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 
 from .completion import magic_complete
-from .families import find_witness
+from .families import BudgetExceededError, find_witness
 from .graphs import EdgeLabelledGraph, first_violating_triangle, is_member, triangle_verdict
 from .magic import default_context
 from .params import ParameterSequence
@@ -41,10 +41,6 @@ _CHUNK_ROWS = 1 << 16
 _SPOT_BUDGET = 2_000_000
 # Keys of EquivalenceReport.stats["seconds"].
 _LAYERS = ("search", "decode", "complete", "member", "obstruction", "spot_check")
-
-
-class BudgetExceededError(RuntimeError):
-    """Search or lattice size exceeded the configured budget."""
 
 
 def has_completion(
@@ -300,7 +296,9 @@ def verify_equivalence(
 def _spot_check(eng, rows_at, orc, magic_ok, wit_free, rng, spot) -> None:
     """Scalar reference vs vectorized result over random rows, same route on
     both sides; any disagreement is an internal error, never a finding.
-    rows_at(positions) decodes the rows at those positions."""
+    rows_at(positions) decodes the rows at those positions.  A search over
+    its budget skips the graph; BudgetExceededError from a witness search
+    propagates."""
     import numpy as np
 
     from .engine import plane_rows, unpack
@@ -345,7 +343,7 @@ def _spot_check(eng, rows_at, orc, magic_ok, wit_free, rng, spot) -> None:
 
 def _confirmed(eng, row, kind, orc_v, wit_v, mag_v) -> dict:
     """Re-derive all three verdicts for a mismatching graph with the scalar
-    routines before reporting it."""
+    routines before reporting it; BudgetExceededError propagates."""
     g = eng.row_to_graph(row)
     ref_search = has_completion(eng.p, g)
     done, _ = magic_complete(eng.ctx, g)

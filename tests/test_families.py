@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import random
 from itertools import combinations, combinations_with_replacement, product
@@ -6,7 +7,7 @@ from itertools import combinations, combinations_with_replacement, product
 import pytest
 
 from conftest import run_python
-from mhg import families
+from mhg import cli, families
 from mhg.families import (
     SPECIAL_PENTAGON,
     FamilyTag,
@@ -305,6 +306,22 @@ def test_find_witness_none_and_errors():
     assert find_witness(P_IIB, EdgeLabelledGraph(4)) is None
     with pytest.raises(ValueError):
         find_witness(P_IIB, EdgeLabelledGraph(3, [(0, 1, 6)]))
+
+
+def test_find_witness_budget(monkeypatch, tmp_path, capsys):
+    """Past WITNESS_BUDGET partial walks the search raises, and the CLI
+    exits 2 naming the cap; a search under the cap still answers.  The
+    witness-free 200-cycle pops 1,000 partial walks, the pentagon 126."""
+    monkeypatch.setattr(families, "WITNESS_BUDGET", 500)
+    g = cycle_graph((3,) * 200)
+    with pytest.raises(families.BudgetExceededError, match="500"):
+        find_witness(P_IIB, g)
+    assert find_witness(P_IIB, cycle_graph(SPECIAL_PENTAGON))[0] == (0, 1, 2, 3, 4)
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(g.to_json_obj()))
+    assert cli.main(["family", "witness", str(path), "--params", "5", "3", "3", "16", "13"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "budget 500" in out.err
 
 
 @functools.cache
