@@ -2,17 +2,18 @@
 
 Exit status contract: 0 for a clean run or verdict, 1 when `verify` found a
 mismatch or `family witness` found a witness, 2 for usage or input errors
-(malformed graph JSON, non-admissible parameters where admissibility is
-required), 3 for an internal error: any other exception, such as an engine
-disagreement or running out of memory.  All --json output is serialized
-with sorted keys so identical inputs give byte-identical bytes.  As a program,
-a command whose stdout reader closes (`mhg params list 40 | head -1`) ends on
-SIGPIPE, without a traceback, where the platform has that signal.
+(malformed graph JSON, a graph file that cannot be read, non-admissible
+parameters where admissibility is required), 3 for an internal error: any
+other exception, such as an engine disagreement or running out of memory.
+All --json output is serialized with sorted keys so identical inputs give
+byte-identical bytes.  As a program, a command whose stdout reader closes
+(`mhg params list 40 | head -1`) ends on SIGPIPE, without a traceback, where
+the platform has that signal.
 
 `graph check` and `complete` run on per-vertex label bitsets held as Python
 ints and refuse, with exit 2, a graph of more than graphs.MAX_BITSET_N
-(1,000) vertices.  `family witness` exits 2 once its search has popped
-more than families.WITNESS_BUDGET (2,000,000) partial walks.  numpy is
+(1,000) vertices.  `family witness` exits 2 once its search has made
+more than families.WITNESS_BUDGET (100,000,000) neighbour tests.  numpy is
 imported only by `verify`.
 """
 
@@ -405,13 +406,10 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except json.JSONDecodeError as e:
         print(f"error: invalid JSON: {e}", file=sys.stderr)
         return 2
-    except (ValueError, BudgetExceededError) as e:
+    except (ValueError, BudgetExceededError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:

@@ -42,39 +42,29 @@ def magic_complete(
 ) -> tuple[EdgeLabelledGraph, CompletionTrace]:
     """Run the staged completion and return the complete graph plus its trace.
 
-    Pairs that no fork ever reaches (for instance across disconnected parts)
-    are still unlabelled after the last stage; they receive the magic distance
-    M and are reported in fallback_pairs.
+    Reads neighbour maps: at the stage of distance d, a blank pair (x, y) is
+    filled when some common neighbour z has label(x, z) (+) label(y, z) == d.
+    Every fill of a stage is found before any is written, in increasing
+    (x, y) order.  Pairs that no fork ever reaches (for instance across
+    disconnected parts) are still blank after the last stage; they receive
+    the magic distance M and are reported in fallback_pairs.
     """
     if g.max_label() > ctx.delta:
         raise ValueError(f"graph labels exceed delta={ctx.delta}")
-    labels = g.labels
-    all_pairs = g.pairs()
+    adj = g.adjacency()
+    blanks = g.non_edges()
     stages = []
     for stage, d in enumerate(ctx.permutation, 1):
-        prev = dict(labels)
-        filled = []
-        for x, y in all_pairs:
-            if (x, y) in prev:
-                continue
-            for z in range(g.n):
-                if z == x or z == y:
-                    continue
-                lxz = prev.get((x, z) if x < z else (z, x))
-                lyz = prev.get((y, z) if y < z else (z, y))
-                if lxz is None or lyz is None:
-                    continue
-                if ctx.oplus(lxz, lyz) == d:
-                    labels[(x, y)] = d
-                    filled.append((x, y))
-                    break
+        filled = [(x, y) for x, y in blanks
+                  if any(ctx.oplus(adj[x][z], adj[y][z]) == d for z in adj[x].keys() & adj[y].keys())]
+        for x, y in filled:
+            adj[x][y] = adj[y][x] = d
+        blanks = [(x, y) for x, y in blanks if y not in adj[x]]
         if filled:
             stages.append((stage, d, tuple(filled)))
-    fallback = tuple(p for p in all_pairs if p not in labels)
-    for p in fallback:
-        labels[p] = ctx.m
-    completed = EdgeLabelledGraph(g.n, [(u, v, l) for (u, v), l in labels.items()])
-    return completed, CompletionTrace(tuple(stages), fallback)
+    fallback = tuple(blanks)
+    edges = g.edges() + [(x, y, d) for _, d, ps in stages for x, y in ps] + [(x, y, ctx.m) for x, y in fallback]
+    return EdgeLabelledGraph(g.n, edges), CompletionTrace(tuple(stages), fallback)
 
 
 def bitset_complete(ctx: MagicContext, g: EdgeLabelledGraph) -> tuple[EdgeLabelledGraph, CompletionTrace]:

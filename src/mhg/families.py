@@ -18,7 +18,7 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, combinations_with_replacement
-from math import comb
+from math import comb, prod
 from typing import Iterator
 
 from .graphs import EdgeLabelledGraph, canonical_cycle
@@ -144,13 +144,20 @@ def is_forbidden(p: ParameterSequence, cycle: Cycle) -> bool:
     return not _holding_tags(p, cycle).isdisjoint(active_tags(p))
 
 
+# Most sub-multisets _distinct_subsets builds; F(p) members with delta <= 9 have 13,122 at most.
+MAX_SUBSETS = 1_000_000
+
+
 def _distinct_subsets(desc: Cycle) -> dict[int, list[Cycle]]:
     """The distinct sub-multisets of the descending labels, by size, as
     descending tuples.  They are built from the label counts, so the work
-    follows their number, not the number of position sets."""
+    follows their number, not the number of position sets.  ValueError,
+    before any work, when there are more than MAX_SUBSETS."""
+    counts = Counter(desc)  # first-seen order, which is descending here
+    if (total := prod(c + 1 for c in counts.values())) > MAX_SUBSETS:
+        raise ValueError(f"the labels have {total} distinct sub-multisets; at most {MAX_SUBSETS} are supported")
     subsets = [()]
-    # Counter keeps first-seen order, which is descending here.
-    for label, count in Counter(desc).items():
+    for label, count in counts.items():
         subsets = [s + (label,) * t for s in subsets for t in range(count + 1)]
     by_size: dict[int, list[Cycle]] = {}
     for s in subsets:
@@ -264,10 +271,10 @@ class BudgetExceededError(RuntimeError):
     """Search or lattice size exceeded the configured budget."""
 
 
-# Partial walks find_witness pops, at most, as in oracle's search budget.  On
-# a 2-core Xeon under (6,1,6,16,15), a completed random 200-cycle (no witness)
-# needs 264,534 (1.3 s); a completed 1,000-cycle hits the cap after 42-47 s.
-WITNESS_BUDGET = 2_000_000
+# Neighbour tests find_witness makes, at most.  On a 2-core Xeon under
+# (6,1,6,16,15), a completed random 200-cycle (no witness) needs 24.1 million
+# (1.3 s); `family witness` on a completed 1,000-cycle stops after 9-10 s.
+WITNESS_BUDGET = 100_000_000
 
 
 @functools.cache
@@ -302,14 +309,15 @@ def find_witness(
     or reflection of a forbidden word), and a closed walk of L labels
     qualifies when its key is in the same set.  The pruned subtrees hold no
     qualifying walk, so the first hit is the one a full scan would find.
-    BudgetExceededError once the search has popped more than WITNESS_BUDGET
-    partial walks.
+    BudgetExceededError once the search has made more than WITNESS_BUDGET
+    neighbour tests: a popped walk of length L tests its closing edge, a
+    shorter one every neighbour of its last vertex.
     """
     if g.max_label() > p.delta:
         raise ValueError(f"graph labels exceed delta={p.delta}")
     tags = active_tags(p)
     weight, tables = _prefix_table(p)
-    budget, popped = WITNESS_BUDGET, 0
+    budget, tested = WITNESS_BUDGET, 0
     # Only vertices that carry an edge lie on a closed walk, so neither the
     # neighbour lists nor the walk starts span all n vertices.
     adj: dict[int, dict[int, int]] = {}
@@ -322,10 +330,10 @@ def find_witness(
         stack = [((v,), 0) for v in starts]
         while stack:
             path, key = stack.pop()
-            popped += 1
-            if popped > budget:
-                raise BudgetExceededError(f"witness search exceeded budget {budget} partial walks")
             last = path[-1]
+            tested += 1 if len(path) == length else len(nbrs[last])
+            if tested > budget:
+                raise BudgetExceededError(f"witness search exceeded budget {budget} neighbour tests")
             if len(path) == length:
                 closing = adj[last].get(path[0])
                 if closing is not None and key + weight[closing] in prefixes:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, combinations
 from operator import or_
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 from .params import ParameterSequence
 
@@ -48,8 +49,9 @@ class EdgeLabelledGraph:
         self._labels = labels
 
     @property
-    def labels(self) -> dict[Pair, int]:
-        return dict(self._labels)
+    def labels(self) -> Mapping[Pair, int]:
+        """Read-only view of the labelling, pair (u, v) with u < v -> label."""
+        return MappingProxyType(self._labels)
 
     def label(self, u: int, v: int) -> int | None:
         return self._labels.get(_norm_pair(u, v))
@@ -57,11 +59,8 @@ class EdgeLabelledGraph:
     def edges(self) -> list[tuple[int, int, int]]:
         return sorted((u, v, l) for (u, v), l in self._labels.items())
 
-    def pairs(self) -> list[Pair]:
-        return list(combinations(range(self.n), 2))
-
     def non_edges(self) -> list[Pair]:
-        return [p for p in self.pairs() if p not in self._labels]
+        return [p for p in combinations(range(self.n), 2) if p not in self._labels]
 
     def is_complete(self) -> bool:
         return len(self._labels) == self.n * (self.n - 1) // 2
@@ -218,7 +217,7 @@ def label_bitsets(g: EdgeLabelledGraph, top: int) -> list[dict[int, int]]:
     if g.n > MAX_BITSET_N:
         raise ValueError(f"graph has {g.n} vertices; at most {MAX_BITSET_N} are supported")
     N: list[dict[int, int]] = [{} for _ in range(g.n)]
-    for (u, v), l in g._labels.items():
+    for (u, v), l in g.labels.items():
         l = l if l <= top else top + 1  # not min(): this runs once per edge
         N[u][l] = N[u].get(l, 0) | 1 << v
         N[v][l] = N[v].get(l, 0) | 1 << u

@@ -51,6 +51,8 @@ def has_completion(
     """Depth-first search for a filling of the blank pairs such that every
     triangle of the resulting complete graph is allowed.
 
+    Blanks are filled in increasing (u, v) order, least label first; label l
+    fits (u, v) when its triangle with each common neighbour is allowed.
     budget caps the number of search nodes.
     """
     if g.max_label() > p.delta:
@@ -58,19 +60,12 @@ def has_completion(
     if first_violating_triangle(p, g) is not None:
         return False
     blanks = g.non_edges()
-    labels = g.labels
+    adj = g.adjacency()
     order = list(range(1, p.delta + 1))
     nodes = 0
 
     def fits(u: int, v: int, l: int) -> bool:
-        for z in range(g.n):
-            if z == u or z == v:
-                continue
-            a = labels.get((u, z) if u < z else (z, u))
-            b = labels.get((v, z) if v < z else (z, v))
-            if a is not None and b is not None and not triangle_verdict(p, a, b, l).ok:
-                return False
-        return True
+        return all(triangle_verdict(p, adj[u][z], adj[v][z], l).ok for z in adj[u].keys() & adj[v].keys())
 
     # Explicit-stack depth-first search, so no blank count hits the recursion
     # limit.  tried[i] counts the labels of `order` already tried at blank i;
@@ -85,14 +80,15 @@ def has_completion(
             if nodes > budget:
                 raise BudgetExceededError(f"completion search exceeded budget {budget}")
         u, v = blanks[i]
-        labels.pop((u, v), None)
+        adj[u].pop(v, None)
+        adj[v].pop(u, None)
         while tried[i] < len(order) and not fits(u, v, order[tried[i]]):
             tried[i] += 1
         if tried[i] == len(order):
             tried[i] = 0
             i -= 1
         else:
-            labels[(u, v)] = order[tried[i]]
+            adj[u][v] = adj[v][u] = order[tried[i]]
             tried[i] += 1
             i += 1
     return False

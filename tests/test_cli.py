@@ -442,6 +442,18 @@ def test_internal_error_exit_code(capsys, monkeypatch, exc):
     assert f"internal error: {type(exc).__name__}" in err
 
 
+@pytest.mark.parametrize(
+    "command", [["graph", "check"], ["complete"], ["family", "witness"]], ids=["graph-check", "complete", "witness"]
+)
+def test_unreadable_graph_path_is_input_error(capsys, tmp_path, command):
+    """A graph path that cannot be read, here a directory, is an input
+    error: exit 2 with the OS message, no traceback."""
+    code, out, err = run(capsys, [*command, str(tmp_path), "--params", *IIB])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", [["graph", "check"], ["complete"]], ids=["graph-check", "complete"])
 def test_huge_n_refused(tmp_path, command):
     """A 27-byte input with n far above the cap exits 2 at once, before any

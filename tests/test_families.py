@@ -207,6 +207,32 @@ def test_classify_long_cycle_is_fast(cycle):
     assert proc.stdout.strip() == f"cycle {labels}  forbidden: no"
 
 
+def test_classify_many_distinct_labels_refused():
+    """Thirty distinct labels have 2^30 sub-multisets, about 160 GiB of
+    tuples: classify exits 2 naming the count before building any, and a
+    cycle under MAX_SUBSETS still classifies.  No F(p) member with
+    delta <= 9 comes near the cap: it has at most walk_bound(p) <= 17
+    labels, and the sub-multiset count of b labels over delta values is
+    largest with the counts spread evenly."""
+    wide = ParameterSequence(300, 300, 300, 902, 901)
+    labels = ",".join(map(str, range(1, 31)))
+    proc = run_python(
+        ["-m", "mhg", "family", "classify", "--params", *map(str, wide.as_tuple()), "--cycle", labels],
+        timeout=20,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert f"have {2**30} distinct sub-multisets; at most {families.MAX_SUBSETS} are supported" in proc.stderr
+    assert [w.d_edges for w in classify_cycle(wide, (*range(1, 13), 300))] == [(300,)]
+    worst = 0
+    for delta in range(3, 10):
+        for p in enumerate_admissible(delta):
+            q, r = divmod(walk_bound(p), delta)
+            assert q * delta + r <= 17, p.as_tuple()
+            worst = max(worst, (q + 2) ** r * (q + 1) ** (delta - r))
+    assert worst == 13_122 < families.MAX_SUBSETS
+
+
 def test_is_forbidden_matches_decompositions():
     """The closed-form membership test agrees with explicit decomposition
     search restricted to the active families."""
@@ -309,9 +335,9 @@ def test_find_witness_none_and_errors():
 
 
 def test_find_witness_budget(monkeypatch, tmp_path, capsys):
-    """Past WITNESS_BUDGET partial walks the search raises, and the CLI
+    """Past WITNESS_BUDGET neighbour tests the search raises, and the CLI
     exits 2 naming the cap; a search under the cap still answers.  The
-    witness-free 200-cycle pops 1,000 partial walks, the pentagon 126."""
+    witness-free 200-cycle makes 2,000 neighbour tests, the pentagon 184."""
     monkeypatch.setattr(families, "WITNESS_BUDGET", 500)
     g = cycle_graph((3,) * 200)
     with pytest.raises(families.BudgetExceededError, match="500"):
