@@ -124,16 +124,13 @@ class Engine:
         return cols.T
 
     def row_to_graph(self, row: np.ndarray) -> EdgeLabelledGraph:
-        edges = [
-            (u, v, int(row[q])) for q, (u, v) in enumerate(self.pairs) if row[q] != 0
-        ]
-        return EdgeLabelledGraph(self.n, edges)
+        return EdgeLabelledGraph(self.n, [(u, v, l) for (u, v), l in zip(self.pairs, row.tolist()) if l])
 
     def completable_lattice(self) -> np.ndarray:
         """Flat boolean array over the whole lattice: the labelling extends,
         by filling blanks only, to a complete graph whose every triangle is
         allowed.  Seed = complete rows with all triangles allowed; then each
-        axis ORs its blank slice over the labelled ones."""
+        axis ORs each labelled slice into its blank slice."""
         shape = (self.base,) * self.P
         H = np.ones(shape, dtype=bool)
         for q1, q2, q3 in self.triangles.tolist():
@@ -142,9 +139,12 @@ class Engine:
             H &= self.allowed3.reshape(view)
         for q in range(self.P):
             np.moveaxis(H, q, 0)[0] = False
+        # The ORs equal np.any(v[1:], out=v[0]): points with digit q = 0 start
+        # False, and earlier passes fill them only from points with digit q = 0.
         for q in range(self.P):
             v = np.moveaxis(H, q, 0)
-            np.any(v[1:], axis=0, out=v[0])
+            for l in range(1, self.base):
+                v[0] |= v[l]
         return H.reshape(-1)
 
     def completable_batch(self, rows: np.ndarray) -> np.ndarray:

@@ -187,19 +187,27 @@ def triangle_verdict(p: ParameterSequence, a: int, b: int, c: int) -> TriangleVe
     return TriangleVerdict((a, b, c), bad)
 
 
+@cache
+def triangle_ok(p: ParameterSequence):
+    """(a, b, c) -> triangle_verdict(p, a, b, c).ok, memoised per tuple on the
+    triples queried, at most delta**3; from the CLI only `verify` reaches it.
+    cache stores no exception, so a bad label raises its ValueError anew."""
+    return cache(lambda a, b, c: triangle_verdict(p, a, b, c).ok)
+
+
 def first_violating_triangle(
     p: ParameterSequence, g: EdgeLabelledGraph
 ) -> tuple[tuple[int, int, int], TriangleVerdict] | None:
     """First fully labelled triangle (by vertex triple) with a violation.  Per
-    u, walks the neighbour pairs v < w above u, not all C(n, 3) triples."""
+    u, walks the neighbour pairs v < w above u, not all C(n, 3) triples;
+    only the triangle returned gets a TriangleVerdict."""
     adj = g.adjacency()
+    ok = triangle_ok(p)
     for u in range(g.n):
         for v, w in combinations(sorted(x for x in adj[u] if x > u), 2):
             lvw = adj[v].get(w)
-            if lvw is not None:
-                verdict = triangle_verdict(p, adj[u][v], adj[u][w], lvw)
-                if not verdict.ok:
-                    return (u, v, w), verdict
+            if lvw is not None and not ok(adj[u][v], adj[u][w], lvw):
+                return (u, v, w), triangle_verdict(p, adj[u][v], adj[u][w], lvw)
     return None
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .completion import magic_complete
 from .families import BudgetExceededError, find_witness
-from .graphs import EdgeLabelledGraph, first_violating_triangle, is_member, triangle_verdict
+from .graphs import EdgeLabelledGraph, first_violating_triangle, is_member, triangle_ok
 from .magic import default_context
 from .params import ParameterSequence
 
@@ -52,8 +52,8 @@ def has_completion(
     triangle of the resulting complete graph is allowed.
 
     Blanks are filled in increasing (u, v) order, least label first; label l
-    fits (u, v) when its triangle with each common neighbour is allowed.
-    budget caps the number of search nodes.
+    fits (u, v) when triangle_ok accepts it with each common neighbour's
+    label pair.  budget caps the number of search nodes.
     """
     if g.max_label() > p.delta:
         raise ValueError(f"graph labels exceed delta={p.delta}")
@@ -61,28 +61,30 @@ def has_completion(
         return False
     blanks = g.non_edges()
     adj = g.adjacency()
+    ok = triangle_ok(p)
     order = list(range(1, p.delta + 1))
     nodes = 0
-
-    def fits(u: int, v: int, l: int) -> bool:
-        return all(triangle_verdict(p, adj[u][z], adj[v][z], l).ok for z in adj[u].keys() & adj[v].keys())
 
     # Explicit-stack depth-first search, so no blank count hits the recursion
     # limit.  tried[i] counts the labels of `order` already tried at blank i;
     # 0 means the search enters blank i afresh, which counts one node.
+    # sides[i]: the common neighbours' label pairs at blank i, read on entry;
+    # the blanks before i keep their labels until the search backs out of i.
     tried = [0] * len(blanks)
+    sides: list[list[tuple[int, int]]] = [[] for _ in blanks]
     i = 0
     while i >= 0:
         if i == len(blanks):
             return True
+        u, v = blanks[i]
+        adj[u].pop(v, None)
+        adj[v].pop(u, None)
         if tried[i] == 0:
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError(f"completion search exceeded budget {budget}")
-        u, v = blanks[i]
-        adj[u].pop(v, None)
-        adj[v].pop(u, None)
-        while tried[i] < len(order) and not fits(u, v, order[tried[i]]):
+            sides[i] = [(adj[u][z], adj[v][z]) for z in adj[u].keys() & adj[v].keys()]
+        while tried[i] < len(order) and not all(ok(a, b, order[tried[i]]) for a, b in sides[i]):
             tried[i] += 1
         if tried[i] == len(order):
             tried[i] = 0

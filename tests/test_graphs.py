@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import product
 
 import pytest
 from conftest import MATRIX_TUPLES, WIDE_TUPLES, many_label_graph, random_graph, run_python
@@ -14,10 +15,12 @@ from mhg.graphs import (
     first_violating_bitset,
     first_violating_triangle,
     is_member,
+    triangle_ok,
     triangle_verdict,
     triangle_violations,
 )
 from mhg.magic import default_context
+from mhg.oracle import has_completion
 from mhg.params import ParameterSequence, enumerate_admissible
 
 P = ParameterSequence(5, 3, 3, 16, 13)
@@ -141,6 +144,32 @@ def test_triangle_verdict_rejects_out_of_range():
         triangle_verdict(P, 0, 1, 1)
     with pytest.raises(ValueError):
         triangle_verdict(P, 1, 1, 6)
+
+
+def test_triangle_ok_per_tuple():
+    """triangle_ok(p) answers triangle_verdict(p, ...).ok for every label
+    triple of every delta <= 5 tuple.  The tuples are queried interleaved,
+    so a memo shared between tuples would answer with another tuple's
+    verdict.  An out-of-range label raises the same ValueError on every
+    call, not a cached answer, in first_violating_triangle too; is_member
+    answers False on it without scanning, and has_completion refuses it
+    before any triangle is tested."""
+    tuples = [p for d in range(1, 6) for p in enumerate_admissible(d)]
+    for a, b, c in product(range(1, 6), repeat=3):
+        for p in tuples:
+            if max(a, b, c) <= p.delta:
+                assert triangle_ok(p)(a, b, c) == triangle_verdict(p, a, b, c).ok, (p, a, b, c)
+    for p in tuples:
+        big = p.delta + 1
+        g = EdgeLabelledGraph(3, [(0, 1, 1), (0, 2, big), (1, 2, 1)])
+        for _ in range(2):
+            with pytest.raises(ValueError, match=rf"^label {big} out of range 1\.\.{p.delta}$"):
+                triangle_ok(p)(1, big, 1)
+            with pytest.raises(ValueError, match=rf"^label {big} out of range 1\.\.{p.delta}$"):
+                first_violating_triangle(p, g)
+            assert not is_member(p, g)
+            with pytest.raises(ValueError, match=rf"^graph labels exceed delta={p.delta}$"):
+                has_completion(p, g)
 
 
 def test_first_violating_triangle():
