@@ -2,10 +2,13 @@
 
 Labellings of the complete graph on n vertices live on a lattice with one
 axis per vertex pair and base delta + 1; digit 0 marks a blank pair.
-Exhaustive verification reads two routes off whole-lattice transforms:
-completable_lattice closes downward from the complete rows whose triangles
-are all allowed, obstruction_lattice upward from the forbidden triangles and
-the closed walks tracing the longer words of F(p).  Sampled verification
+Exhaustive verification reads two routes off whole-lattice transforms, each
+closed along every axis by _close, the low axes in transposed slabs of about
+1 MiB: completable_lattice closes downward from the complete rows whose
+triangles are all allowed, seeded on the delta**P complete points alone,
+obstruction_lattice upward from the forbidden triangles and the closed walks
+tracing the longer words of F(p).  Beyond the lattice, a build holds the
+seed's (delta / base)**P bytes per point, then one slab.  Sampled verification
 builds no lattice: completable_batch (a greedy filling, then an exact
 breadth-first frontier) and obstruction_batch answer for the drawn rows.
 The batch search and the obstruction scan read uint8 rows pair-major, one
@@ -34,8 +37,10 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from .families import enumerate_forbidden
-from .graphs import EdgeLabelledGraph, triangle_verdict
+from .graphs import EdgeLabelledGraph, triangle_ok
 from .magic import MagicContext
+
+_SLAB = 1 << 20  # bytes of one transposed slab in _close
 
 
 def unpack(planes: np.ndarray, count: int) -> np.ndarray:
@@ -46,6 +51,27 @@ def unpack(planes: np.ndarray, count: int) -> np.ndarray:
 def plane_rows(planes: np.ndarray, count: int) -> np.ndarray:
     """Label rows (count, P) of one-hot planes: the inverse of Engine.planes."""
     return unpack(planes, count).argmax(axis=1).astype(np.uint8).T
+
+
+def _close(H: np.ndarray, down: bool) -> None:
+    """OR-close a lattice of shape (base,) * P in place along every axis:
+    down v[0] |= v[l], up v[l] |= v[0].  High axes close in place; the low k,
+    slices under 64 bytes apart, in slabs of _SLAB bytes transposed to lead."""
+    base, P = H.shape[0], H.ndim
+    k = min(P, next(k for k in range(1, 7) if base**k >= 64))
+
+    def lead(A: np.ndarray, axes: int) -> np.ndarray:
+        for q in range(axes):
+            v = A.reshape(base**q, base, -1)
+            for l in range(1, base):
+                dst, src = (0, l) if down else (l, 0)
+                v[:, dst] |= v[:, src]
+        return A
+
+    lead(H, P - k)
+    rows, step = H.reshape(-1, base**k), max(1, _SLAB // base**k)
+    for r in range(0, len(rows), step):
+        rows[r : r + step] = lead(np.ascontiguousarray(rows[r : r + step].T), k).T
 
 
 class Engine:
@@ -108,7 +134,7 @@ class Engine:
         touching 0 stay True so incomplete triangles never constrain."""
         arr = np.ones((self.base,) * 3, dtype=bool)
         for a, b, c in product(range(1, self.base), repeat=3):
-            arr[a, b, c] = triangle_verdict(self.p, a, b, c).ok
+            arr[a, b, c] = triangle_ok(self.p)(a, b, c)
         return arr
 
     def decode(self, idx: np.ndarray) -> np.ndarray:
@@ -129,22 +155,17 @@ class Engine:
     def completable_lattice(self) -> np.ndarray:
         """Flat boolean array over the whole lattice: the labelling extends,
         by filling blanks only, to a complete graph whose every triangle is
-        allowed.  Seed = complete rows with all triangles allowed; then each
-        axis ORs each labelled slice into its blank slice."""
-        shape = (self.base,) * self.P
-        H = np.ones(shape, dtype=bool)
+        allowed.  Seed = complete rows with all triangles allowed, built on the
+        delta**P complete points alone; _close ORs labelled slices into blank ones."""
+        seed = np.ones((self.p.delta,) * self.P, dtype=bool)
         for q1, q2, q3 in self.triangles.tolist():
             view = [1] * self.P
-            view[q1] = view[q2] = view[q3] = self.base
-            H &= self.allowed3.reshape(view)
-        for q in range(self.P):
-            np.moveaxis(H, q, 0)[0] = False
-        # The ORs equal np.any(v[1:], out=v[0]): points with digit q = 0 start
-        # False, and earlier passes fill them only from points with digit q = 0.
-        for q in range(self.P):
-            v = np.moveaxis(H, q, 0)
-            for l in range(1, self.base):
-                v[0] |= v[l]
+            view[q1] = view[q2] = view[q3] = self.p.delta
+            seed &= self.allowed3[1:, 1:, 1:].reshape(view)
+        H = np.zeros((self.base,) * self.P, dtype=bool)
+        H[(slice(1, None),) * self.P] = seed
+        del seed
+        _close(H, down=True)
         return H.reshape(-1)
 
     def completable_batch(self, rows: np.ndarray) -> np.ndarray:
@@ -288,7 +309,7 @@ class Engine:
         walks tracing a word with only their own pairs labelled.  Walks grow
         along the trie as (start, current vertex, lattice index) sets; a step
         keeps a walk where the pair is blank, labelling it, or carries the
-        letter.  Each axis then ORs its blank slice into its labelled ones."""
+        letter.  _close then ORs each axis's blank slice into its labelled ones."""
         n, pw = self.n, self.base ** np.arange(self.P - 1, -1, -1, dtype=np.int64)
         O = np.zeros(self.size, dtype=bool)
         a, b, c = np.nonzero(self.forb3)
@@ -317,11 +338,8 @@ class Engine:
                     key, z = np.divmod(key[np.diff(key, prepend=-1) != 0], n)
                     key, s = np.divmod(key, n)
                     stack.append((w, s, z, key))
-        O = O.reshape((self.base,) * self.P)
-        for q in range(self.P):
-            v = np.moveaxis(O, q, 0)
-            v[1:] |= v[0]
-        return O.reshape(-1)
+        _close(O.reshape((self.base,) * self.P), down=False)
+        return O
 
     def _word_scan(self, rows: np.ndarray) -> np.ndarray:
         """Closed walks on row bitmasks: bit v of adj[l][b, u] is set iff row

@@ -106,7 +106,8 @@ class EdgeLabelledGraph:
         if not isinstance(edges, list):
             raise ValueError("\"edges\" must be a list of [u, v, label] triples")
         for i, e in enumerate(edges):
-            if not (isinstance(e, list) and len(e) == 3 and all(isinstance(x, int) for x in e)):
+            ok = isinstance(e, list) and len(e) == 3
+            if not (ok and isinstance(e[0], int) and isinstance(e[1], int) and isinstance(e[2], int)):
                 raise ValueError(f"edges[{i}] must be an integer triple [u, v, label]")
         return cls(n, edges)
 

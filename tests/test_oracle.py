@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import run_python
-from mhg import oracle
+from mhg import engine, oracle
 from mhg.cli import main
 from mhg.completion import magic_complete
-from mhg.engine import Engine, plane_rows, unpack
+from mhg.engine import Engine, _close, plane_rows, unpack
 from mhg.families import enumerate_forbidden, find_witness, is_forbidden, walk_bound
 from mhg.graphs import EdgeLabelledGraph, is_member
 from mhg.magic import default_context
@@ -200,6 +200,49 @@ def test_completable_batch_matches_lattice_all_n4():
         eng = Engine(default_context(p), 4)
         rows = eng.decode(np.arange(eng.size, dtype=np.int64))
         assert np.array_equal(eng.completable_batch(rows), eng.completable_lattice()), p
+
+
+def test_completable_lattice_matches_batch_delta3_n5():
+    """The search lattice against the batch search on every n = 5 lattice
+    point of each delta = 3 tuple, decoded in chunks."""
+    for p in enumerate_admissible(3):
+        eng = Engine(default_context(p), 5)
+        lattice = eng.completable_lattice()
+        assert lattice.any() and not lattice.all()
+        for lo in range(0, eng.size, 1 << 18):
+            idx = np.arange(lo, min(lo + (1 << 18), eng.size), dtype=np.int64)
+            assert np.array_equal(lattice[idx], eng.completable_batch(eng.decode(idx))), (p, lo)
+
+
+def close_by_axis(H: np.ndarray, down: bool) -> None:
+    """The per-axis closure that _close replaced, kept as its reference."""
+    for q in range(H.ndim):
+        v = np.moveaxis(H, q, 0)
+        if down:
+            for l in range(1, H.shape[0]):
+                v[0] |= v[l]
+        else:
+            v[1:] |= v[0]
+
+
+@pytest.mark.parametrize("down", [True, False], ids=["down", "up"])
+@pytest.mark.parametrize(
+    "base, P, slab", [(b, P, None) for b in (4, 5, 6) for P in (3, 6, 10)] + [(5, 6, 1)]
+)
+def test_close_matches_per_axis_loop(monkeypatch, base, P, slab, down):
+    """_close against the per-axis loop on random lattices, one point in 8
+    set but the all-blank one, which the up closure would spread to every
+    point.  At P = 3 every axis is a low axis; a slab of one byte makes each
+    row of the low axes a slab of its own, so every boundary is crossed."""
+    if slab:
+        monkeypatch.setattr(engine, "_SLAB", slab)
+    H = np.random.default_rng(100 * base + P).integers(0, 8, (base,) * P, dtype=np.uint8) == 0
+    H.flat[0] = False
+    want = H.copy()
+    close_by_axis(want, down)
+    assert (want != H).any() and not want.all()
+    _close(H, down)
+    assert np.array_equal(H, want)
 
 
 def test_obstruction_lattice_matches_batch():
