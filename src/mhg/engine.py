@@ -10,19 +10,19 @@ obstruction_lattice upward from the forbidden triangles and the closed walks
 tracing the longer words of F(p).  Beyond the lattice, a build holds the
 seed's (delta / base)**P bytes per point, then one slab.  Sampled verification
 builds no lattice: completable_batch (a greedy filling, then an exact
-breadth-first frontier) and obstruction_batch answer for the drawn rows.
-The batch search and the obstruction scan read uint8 rows pair-major, one
-contiguous column per pair; a triangle test looks up its three columns'
-code in a flattened table.  The magic completion and membership are
-bit-sliced (after Biham, FSE 1997): plane [q, l] holds one bit per row, set
-where pair q has label l, so an AND or OR covers 8 rows per byte.  An
-exhaustive chunk is an aligned lattice block whose planes are built, not
-decoded (a grid per Engine for the low pairs, constant high pairs); a
-sampled chunk packs its decoded rows once.  F(p) is read once per Engine:
-its triangles fill forb3, and its longer cycles form a trie of words, walked
-by bit-parallel products of adjacency bitmasks shared across prefixes and by
-the lattice's seeding.  The module holds no per-graph code: `mhg complete`
-and `mhg graph check` run on Python-int bitsets in completion and graphs.
+breadth-first frontier) and obstruction_batch answer for the drawn rows.  The
+batch search reads uint8 rows pair-major and looks each triangle's code up
+in a flattened table.  The other batch routes are bit-sliced (after Biham,
+FSE 1997): plane [q, l] holds one bit per row, set where pair q has label l,
+so an AND or OR covers 8 rows per byte; membership and the obstruction scan
+share one triangle kernel.  An exhaustive chunk is an aligned lattice block
+whose planes are built, not decoded (a grid per Engine for the low pairs,
+constant high pairs); a sampled chunk packs its decoded rows once.  F(p) is
+read once per Engine: its triangles fill forb3, and its longer cycles form a
+trie of words, walked by (n, n) products of adjacency planes shared across
+prefixes and by the lattice's seeding.  The module holds no per-graph code:
+`mhg complete` and `mhg graph check` run on Python-int bitsets in completion
+and graphs.
 
 The scalar routines in completion, families and oracle stay the reference
 implementations; the verifier cross-checks sampled rows against them and
@@ -76,13 +76,13 @@ def _close(H: np.ndarray, down: bool) -> None:
 
 class Engine:
     """Tables and batch operations for one parameter context and one n.
-    Rows are uint8 arrays of shape (B, P), one column per vertex pair in
-    lexicographic order; other layouts are copied to pair-major once.  The
-    magic completion and membership read (P, base, ceil(B / 8)) bit planes."""
+    Rows are uint8 (B, P) arrays, one column per vertex pair in
+    lexicographic order, copied to pair-major once if in another layout;
+    planes are (P, base, ceil(B / 8)) bit planes, as Engine.planes packs."""
 
     def __init__(self, ctx: MagicContext, n: int):
         if not 3 <= n <= 64:
-            raise ValueError(f"need 3 to 64 vertices (an adjacency bitmask is at most a uint64), not {n}")
+            raise ValueError(f"need 3 to 64 vertices, not {n}")
         self.ctx = ctx
         self.p = ctx.params
         self.n = n
@@ -97,12 +97,10 @@ class Engine:
         third = [[z for z in range(n) if z not in pr] for pr in self.pairs]
         self.partners = self.pair[np.array(self.pairs).T[:, :, None], third]
         self._grids: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # block_planes' (grid, ones)
-        # nbrs[u, k] = the pair (u, v) for the k-th vertex v != u, and
-        # nbr_bits[u, k] = 1 << v: one gather through nbrs turns a label into
-        # (B, n) row bitmasks of its adjacency.
-        self.nbrs = self.pair[~np.eye(n, dtype=bool)].reshape(n, n - 1)
-        self.bit_dtype = np.min_scalar_type(1 << (n - 1))
-        self.nbr_bits = np.array([[1 << v for v in range(n) if v != u] for u in range(n)], self.bit_dtype)
+        # adj[u, v] = pair[u, v] off the diagonal and P on it, the index of
+        # the all-zero plane that obstruction_batch appends.
+        self.adj = self.pair.copy()
+        np.fill_diagonal(self.adj, self.P)
         # Pair indices of each triangle come out sorted because the pair list
         # is lexicographic; the reshape in completable_lattice relies on that.
         i, j, k = np.array(list(combinations(range(n), 3))).T
@@ -187,7 +185,7 @@ class Engine:
             return ok
 
         cols = np.ascontiguousarray(rows.T)
-        out = self._triangles_hold(cols, self.allowed3)
+        out = self._triangles_hold(cols)
         live = np.flatnonzero(out)
         X = cols[:, live]
         for q in range(self.P):
@@ -211,16 +209,16 @@ class Engine:
 
     def _code(self, *labels: np.ndarray) -> np.ndarray:
         """Pack label columns into one code per row, most significant label
-        first: the flat index of that label tuple in opl, allowed3 or forb3.
+        first: the flat index of that label tuple in allowed3 or a reshape of it.
         Formed in code_dtype, as uint8 would wrap above 255 from delta = 6."""
         code = labels[0].astype(self.code_dtype, copy=False)
         for l in labels[1:]:
             code = code * self.base + l
         return code
 
-    def _triangles_hold(self, cols: np.ndarray, table: np.ndarray) -> np.ndarray:
-        """Per row of the columns: table holds at every triangle's labels."""
-        flat = table.reshape(-1)
+    def _triangles_hold(self, cols: np.ndarray) -> np.ndarray:
+        """Per row of the columns: allowed3 holds at every triangle's labels."""
+        flat = self.allowed3.reshape(-1)
         ok = np.ones(cols.shape[1], dtype=bool)
         for q1, q2, q3 in self.triangles.tolist():
             ok &= flat[self._code(cols[q1], cols[q2], cols[q3])]
@@ -277,29 +275,58 @@ class Engine:
         E[:, 0] = 0
         return E, fallback
 
-    def member_batch(self, planes: np.ndarray) -> np.ndarray:
-        """Membership bits of complete rows (no blank pair), packed like a
-        plane, padding bits 0: a row is a member unless some triangle (q1,
-        q2, q3) has E[q1, x] & E[q2, y] & OR{E[q3, z] : not allowed3[x, y, z]}."""
+    def _triangle_hits(self, planes: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """Packed bits, padding bits 0: the rows where some triangle (q1, q2,
+        q3) has E[q1, x] & E[q2, y] & OR{E[q3, z] : table[x, y, z]}."""
         t1, t2, t3 = self.triangles.T
-        bad = np.zeros(planes.shape[-1], dtype=np.uint8)
+        hits = np.zeros(planes.shape[-1], dtype=np.uint8)
         # The groups share few z sets, so each distinct set's union is built once.
         union = cache(lambda zs: np.bitwise_or.reduce(planes[:, zs], axis=1))
-        for x, y in product(range(1, self.base), repeat=2):
-            zs = tuple(np.flatnonzero(~self.allowed3[x, y]).tolist())
+        for x, y in product(range(self.base), repeat=2):
+            zs = tuple(np.flatnonzero(table[x, y]).tolist())
             if zs:
-                bad |= np.bitwise_or.reduce(planes[t1, x] & planes[t2, y] & union(zs)[t3], axis=0)
-        # Pair 0 holds one label per row, so its planes' union marks the rows.
-        return np.bitwise_or.reduce(planes[0], axis=0) & ~bad
+                hits |= np.bitwise_or.reduce(planes[t1, x] & planes[t2, y] & union(zs)[t3], axis=0)
+        return hits
 
-    def obstruction_batch(self, rows: np.ndarray) -> np.ndarray:
-        """True where the partial graph contains an obstruction cycle, found
-        as a forbidden triangle or as a closed walk tracing a longer word."""
-        cols = np.ascontiguousarray(rows.T)
-        bad = ~self._triangles_hold(cols, ~self.forb3)
-        rest = np.flatnonzero(~bad)
-        if self.words and rest.size:
-            bad[rest[self._word_scan(cols[:, rest].T)]] = True
+    def member_batch(self, planes: np.ndarray) -> np.ndarray:
+        """Membership bits of complete rows (no blank pair), packed like a
+        plane, padding bits 0: a row is a member unless some triangle's
+        labels are not allowed3."""
+        # Pair 0 holds one label per row, so its planes' union marks the rows.
+        return np.bitwise_or.reduce(planes[0], axis=0) & ~self._triangle_hits(planes, ~self.allowed3)
+
+    def obstruction_batch(self, planes: np.ndarray) -> np.ndarray:
+        """Packed bits, padding bits 0: the rows holding a forbidden triangle
+        or a closed walk tracing a longer word of F(p).  A[l][u, v] is the
+        plane of label l at pair {u, v}, zero on the diagonal; the product
+        out[u, z] = OR_v prod[u, v] & A[l][v, z] marks walks u -> z tracing
+        the prefix (after Arlazarov, Dinic, Kronrod and Faradzev), closed
+        where prod & A[l] is set, as A is symmetric; rotating or reversing a
+        word keeps its walks, so one canonical word per cycle suffices.  The
+        trie is walked depth-first, the stack holding the roots and the
+        current path, so prefixes share products (after Aho and Corasick);
+        a zero product is not extended."""
+        bad = self._triangle_hits(planes, self.forb3)
+        if not self.words:
+            return bad
+        padded = np.concatenate([planes, np.zeros_like(planes[:1])])
+        A = {l: padded[self.adj, l] for l in {l for w in self.words for l in w}}
+        stack = [((l,), A[l], iter(self.next_labels[l,])) for l in self.next_labels[()]]
+        while stack:
+            prefix, prod, labels = stack[-1]
+            l = next(labels, None)
+            if l is None:
+                stack.pop()
+                continue
+            w = prefix + (l,)
+            if w in self.words:
+                bad |= np.bitwise_or.reduce(prod & A[l], axis=(0, 1))
+            if w in self.next_labels:
+                out = np.zeros_like(prod)
+                for v in range(self.n):
+                    out |= prod[:, v, None] & A[l][v]
+                if out.any():
+                    stack.append((w, out, iter(self.next_labels[w])))
         return bad
 
     def obstruction_lattice(self) -> np.ndarray:
@@ -340,36 +367,3 @@ class Engine:
                     stack.append((w, s, z, key))
         _close(O.reshape((self.base,) * self.P), down=False)
         return O
-
-    def _word_scan(self, rows: np.ndarray) -> np.ndarray:
-        """Closed walks on row bitmasks: bit v of adj[l][b, u] is set iff row
-        b labels the pair (u, v) with l.  A walk labelled w exists iff the
-        product of adj[l] for l in w (OR of ANDs, n shift-mask-OR steps per
-        letter, after Arlazarov, Dinic, Kronrod and Faradzev) has bit u set in
-        row u; rotating or reversing w keeps that, so one canonical word per
-        cycle suffices.  A depth-first trie walk shares each prefix's product
-        among its words (after Aho and Corasick) and drops a row once its
-        product is zero or a word is found in it."""
-        gathered = rows[:, self.nbrs]
-        adj = [((gathered == l) * self.nbr_bits).sum(axis=2, dtype=self.bit_dtype) for l in range(self.base)]
-        found = np.zeros(rows.shape[0], dtype=bool)
-        stack = [((l,), adj[l], np.arange(rows.shape[0])) for l in self.next_labels[()]]
-        while stack:
-            prefix, prod, idx = stack.pop()
-            keep = ~found[idx]
-            prod, idx = prod[keep], idx[keep]
-            for l in self.next_labels[prefix]:
-                letter, w = adj[l][idx], prefix + (l,)
-                if w in self.words:
-                    # Bit u of row u of the product: letter is symmetric, so
-                    # it is set iff rows u of prod and of letter share a bit.
-                    found[idx[(prod & letter).any(axis=1)]] = True
-                if w in self.next_labels:
-                    out = np.zeros_like(letter)
-                    for v in range(self.n):
-                        # Rows u whose product reaches v gain v's neighbours.
-                        out |= -((prod >> v) & 1) & letter[:, v, None]
-                    alive = out.any(axis=1)
-                    stack.append((w, out[alive], idx[alive]))
-        return found
-

@@ -69,6 +69,11 @@ def magic_batch(eng: Engine, rows: np.ndarray):
     return plane_rows(filled, k), unpack(fb, k).T, unpack(eng.member_batch(filled), k)
 
 
+def obstruction_bits(eng: Engine, rows: np.ndarray) -> np.ndarray:
+    """obstruction_batch on the planes of rows, read back per row."""
+    return unpack(eng.obstruction_batch(eng.planes(rows)), len(rows))
+
+
 def test_engine_round_trips():
     eng = Engine(default_context(P_III3), 3)
     idx = np.arange(eng.size, dtype=np.int64)
@@ -87,7 +92,7 @@ def test_engine_matches_scalar_routes_delta3_n3():
     rows = eng.decode(np.arange(eng.size, dtype=np.int64))
     completable = eng.completable_lattice()
     filled, fb, member = magic_batch(eng, rows)
-    obstructed = eng.obstruction_batch(rows)
+    obstructed = obstruction_bits(eng, rows)
     for i in range(eng.size):
         g = eng.row_to_graph(rows[i])
         assert completable[i] == has_completion(P_III3, g), g
@@ -136,11 +141,11 @@ def test_batch_operations_ignore_row_layout(t, n):
     labels = rng.integers(1, eng.base, size=(k, eng.P)) * (rng.random((k, eng.P)) >= 0.45)
     rows = eng.decode(lattice_index(eng, labels))
     assert rows.T.flags.c_contiguous and not rows.flags.c_contiguous
-    want = [*magic_batch(eng, rows), eng.obstruction_batch(rows), eng.completable_batch(rows)]
+    want = [*magic_batch(eng, rows), obstruction_bits(eng, rows), eng.completable_batch(rows)]
     assert np.array_equal(rows, labels)
     assert want[1].any() and want[2].any() and want[3].any() and want[4].any() and not want[4].all()
     for layout, sel in [(np.ascontiguousarray, slice(None)), (lambda x: x[::2], slice(None, None, 2))]:
-        got = [*magic_batch(eng, layout(rows)), eng.obstruction_batch(layout(rows))]
+        got = [*magic_batch(eng, layout(rows)), obstruction_bits(eng, layout(rows))]
         got.append(eng.completable_batch(layout(rows)))
         for w, g in zip(want, got):
             assert np.array_equal(w[sel], g)
@@ -246,22 +251,38 @@ def test_close_matches_per_axis_loop(monkeypatch, base, P, slab, down):
 
 
 def test_obstruction_lattice_matches_batch():
-    """The obstruction lattice against the row scan on every n = 4 lattice
-    point of each admissible tuple with delta <= 5, and on every n = 5
-    point of each delta = 3 tuple, decoded in chunks."""
+    """The obstruction lattice against the batch scan on every n = 4
+    lattice point of each admissible tuple with delta <= 5, and on every
+    n = 5 point of each delta = 3 tuple, decoded in chunks."""
     params = [p for delta in range(3, 6) for p in enumerate_admissible(delta)]
     assert len(params) == 63
     for p in params:
         eng = Engine(default_context(p), 4)
         rows = eng.decode(np.arange(eng.size, dtype=np.int64))
-        assert np.array_equal(eng.obstruction_lattice(), eng.obstruction_batch(rows)), p
+        assert np.array_equal(eng.obstruction_lattice(), obstruction_bits(eng, rows)), p
     for p in enumerate_admissible(3):
         eng = Engine(default_context(p), 5)
         lattice = eng.obstruction_lattice()
         assert lattice.any() and not lattice.all()
         for lo in range(0, eng.size, 1 << 18):
             idx = np.arange(lo, min(lo + (1 << 18), eng.size), dtype=np.int64)
-            assert np.array_equal(lattice[idx], eng.obstruction_batch(eng.decode(idx))), (p, lo)
+            assert np.array_equal(lattice[idx], obstruction_bits(eng, eng.decode(idx))), (p, lo)
+
+
+@pytest.mark.parametrize("t", [(5, 3, 3, 16, 13), (5, 1, 5, 12, 13)])
+def test_obstruction_batch_matches_lattice_at_workload_size(t):
+    """One sampled chunk at the size verify draws: 65,531 seeded n = 5
+    lattice indices, a count that ends inside a byte.  The obstruction
+    bits equal the obstruction lattice at those indices, and the padding
+    bits of the last byte are 0."""
+    eng = Engine(default_context(ParameterSequence(*t)), 5)
+    k = (1 << 16) - 5
+    idx = np.random.default_rng(sum(t)).integers(0, eng.size, size=k, dtype=np.int64)
+    bits = eng.obstruction_batch(eng.planes(eng.decode(idx)))
+    want = eng.obstruction_lattice()[idx]
+    assert want.any() and not want.all()
+    assert np.array_equal(unpack(bits, k), want)
+    assert bits.size == -(-k // 8) and bits[-1] >> (k % 8) == 0
 
 
 def test_engine_forb3_matches_is_forbidden():
@@ -307,7 +328,7 @@ def test_engine_matches_scalar_routes_seeded_rows(p, n):
     completable = eng.completable_lattice()[lattice_index(eng, rows)]
     searched = eng.completable_batch(rows)
     filled, fb, member = magic_batch(eng, rows)
-    obstructed = eng.obstruction_batch(rows)
+    obstructed = obstruction_bits(eng, rows)
     assert np.array_equal(eng.obstruction_lattice()[lattice_index(eng, rows)], obstructed)
     for i, row in enumerate(rows):
         g = eng.row_to_graph(row)
@@ -322,11 +343,11 @@ def test_engine_matches_scalar_routes_seeded_rows(p, n):
 @pytest.mark.parametrize("t", [(5, 1, 5, 12, 13), (5, 4, 4, 16, 15)])
 @pytest.mark.parametrize("n", [6, 7, 8, 9])
 def test_obstruction_batch_matches_find_witness_triangle_free(t, n):
-    """The word scan against find_witness where only cycles of 4 to 9
-    edges can obstruct: seeded rows, each pair blank with probability 0.6,
-    keeping those without a forbidden triangle.  Walks reach length 9 under
-    both tuples, and the adjacency bitmasks widen from uint8 at n = 8 to
-    uint16 at n = 9."""
+    """The plane-product word walk against find_witness where only cycles
+    of 4 to 9 edges can obstruct: seeded rows, each pair blank with
+    probability 0.6, keeping those without a forbidden triangle.  Walks
+    reach length 9 under both tuples, so the trie is walked to its full
+    depth over (n, n) adjacency planes."""
     p = ParameterSequence(*t)
     assert walk_bound(p) == 9
     eng = Engine(default_context(p), n)
@@ -336,26 +357,25 @@ def test_obstruction_batch_matches_find_witness_triangle_free(t, n):
     q1, q2, q3 = eng.triangles.T
     rows = rows[~eng.forb3[rows[:, q1], rows[:, q2], rows[:, q3]].any(axis=1)][:200]
     assert len(rows) == 200
-    obstructed = eng.obstruction_batch(rows)
+    obstructed = obstruction_bits(eng, rows)
     want = [find_witness(p, eng.row_to_graph(row)) is not None for row in rows]
     assert obstructed.tolist() == want
     assert 0 < obstructed.sum() < len(rows)
 
 
 def test_word_scan_top_bit_at_64_vertices():
-    """At n = 64 the adjacency bitmasks are uint64 and vertex 63 is the top
-    bit: the all-5 pentagon through it is found, and a path of four 5-edges
-    is not.  Past 64 vertices the engine refuses."""
+    """At n = 64, vertex 63 is the last row and column of the adjacency
+    planes: the all-5 pentagon through it is found, and a path of four
+    5-edges is not.  Past 64 vertices the engine refuses."""
     ctx = default_context(P_IIB)
     eng = Engine(ctx, 64)
-    assert eng.bit_dtype == np.uint64
     cycle = [59, 60, 61, 62, 63]
     rows = np.zeros((2, eng.P), dtype=np.uint8)
     for i in range(5):
         rows[0, eng.pairs.index(tuple(sorted((cycle[i], cycle[i - 1]))))] = 5
     rows[1] = rows[0]
     rows[1, eng.pairs.index((59, 63))] = 0
-    assert eng.obstruction_batch(rows).tolist() == [True, False]
+    assert obstruction_bits(eng, rows).tolist() == [True, False]
     with pytest.raises(ValueError, match="64 vertices"):
         Engine(ctx, 65)
 
@@ -389,7 +409,7 @@ def test_forbidden_cycles_are_obstructions_on_every_route():
             eng = Engine(ctx, k)
             rows = np.array([[g.label(u, v) or 0 for u, v in eng.pairs] for g in graphs], dtype=np.uint8)
             assert not eng.completable_batch(rows).any(), (p, k)
-            assert eng.obstruction_batch(rows).all(), (p, k)
+            assert obstruction_bits(eng, rows).all(), (p, k)
             if k <= 4:
                 assert eng.obstruction_lattice()[lattice_index(eng, rows)].all(), (p, k)
             assert not magic_batch(eng, rows)[2].any(), (p, k)
@@ -557,7 +577,7 @@ ENGINE_FLIPS = {
     "fallback log": ("complete_batch", lambda out: (out[0], ~out[1]), None),
     "membership route": ("member_batch", np.invert, None),
     "obstruction route": ("obstruction_lattice", np.logical_not, None),
-    "obstruction route, sampled": ("obstruction_batch", np.logical_not, 50),
+    "obstruction route, sampled": ("obstruction_batch", np.invert, 50),
 }
 
 
