@@ -11,11 +11,12 @@ tracing the longer words of F(p).  Beyond the lattice, a build holds the
 seed's (delta / base)**P bytes per point, then one slab.  Sampled verification
 builds no lattice: completable_batch (a greedy filling, then an exact
 breadth-first frontier) and obstruction_batch answer for the drawn rows.  The
-batch search reads uint8 rows pair-major and looks each triangle's code up
-in a flattened table.  The other batch routes are bit-sliced (after Biham,
-FSE 1997): plane [q, l] holds one bit per row, set where pair q has label l,
-so an AND or OR covers 8 rows per byte; membership and the obstruction scan
-share one triangle kernel.  An exhaustive chunk is an aligned lattice block
+batch routes read bit planes (after Biham, FSE 1997): plane [q, l] holds one
+bit per row, set where pair q has label l, so an AND or OR covers 8 rows per
+byte; membership, the obstruction scan and the search's triangle filter
+share one triangle kernel.  The search then fills pair-major label columns,
+a blank pair's allowed labels being the AND of one label bitmask per partner
+vertex.  An exhaustive chunk is an aligned lattice block
 whose planes are built, not decoded (a grid per Engine for the low pairs,
 constant high pairs); a sampled chunk packs its decoded rows once.  F(p) is
 read once per Engine: its triangles fill forb3, and its longer cycles form a
@@ -31,7 +32,7 @@ treats any disagreement as an internal error rather than a finding.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -76,9 +77,9 @@ def _close(H: np.ndarray, down: bool) -> None:
 
 class Engine:
     """Tables and batch operations for one parameter context and one n.
-    Rows are uint8 (B, P) arrays, one column per vertex pair in
-    lexicographic order, copied to pair-major once if in another layout;
-    planes are (P, base, ceil(B / 8)) bit planes, as Engine.planes packs."""
+    Rows are uint8 (B, P) arrays of any layout, one column per vertex pair
+    in lexicographic order; planes are (P, base, ceil(B / 8)) bit planes,
+    as Engine.planes packs."""
 
     def __init__(self, ctx: MagicContext, n: int):
         if not 3 <= n <= 64:
@@ -106,9 +107,6 @@ class Engine:
         i, j, k = np.array(list(combinations(range(n), 3))).T
         self.triangles = np.stack([self.pair[i, j], self.pair[i, k], self.pair[j, k]], axis=1)
         self.size = self.base**self.P
-        # Codes a*base + b and (a*base + b)*base + c of labels below base
-        # stay below base**3, so this dtype never wraps.
-        self.code_dtype = np.min_scalar_type(self.base**3)
         self.allowed3 = self._allowed_table()
         # opl[x, y] = x (+) y, and 0 where either label is 0 (a blank pair).
         self.opl = np.array([[ctx.oplus(x, y) if x and y else 0 for y in range(self.base)] for x in range(self.base)])
@@ -135,16 +133,29 @@ class Engine:
             arr[a, b, c] = triangle_ok(self.p)(a, b, c)
         return arr
 
+    @cached_property
+    def _label_masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The search's tables, built on its first call: mask[a * base + b]
+        has bit c set where allowed3[a, b, c], for labels c >= 1; over the
+        2**base masks m, bits[m, c] is bit c of m and least[m] its least set
+        bit, 0 where none is.  F(p) refuses delta >= 10 in __init__, so bits
+        stays small and the uint8 index a * base + b never wraps."""
+        mask = (self.allowed3[:, :, 1:] << np.arange(1, self.base)).sum(axis=-1).reshape(-1)
+        bits = (np.arange(2**self.base)[:, None] >> np.arange(self.base) & 1).astype(bool)
+        return mask.astype(np.min_scalar_type(2**self.base - 1)), bits, bits.argmax(axis=1).astype(np.uint8)
+
     def decode(self, idx: np.ndarray) -> np.ndarray:
         """Lattice indices to label rows of shape (B, P), dtype uint8: the
         last pair is the fastest-varying digit.  They are the transpose of a
-        C-contiguous (P, B) array, which the batch operations read as is."""
-        rest = np.array(idx, dtype=np.int64).reshape(-1)
-        digit = np.empty_like(rest)
+        C-contiguous (P, B) array.  Digits come from // and a multiply-subtract,
+        in uint32 where every index fits it (so under verify's lattice cap),
+        else in int64."""
+        rest = np.array(idx, dtype=np.uint32 if self.size <= 2**32 else np.int64).reshape(-1)
         cols = np.empty((self.P, rest.size), dtype=np.uint8)
         for q in range(self.P - 1, -1, -1):
-            np.divmod(rest, self.base, out=(rest, digit))
-            cols[q] = digit
+            quot = rest // self.base
+            cols[q] = rest - quot * self.base
+            rest = quot
         return cols.T
 
     def row_to_graph(self, row: np.ndarray) -> EdgeLabelledGraph:
@@ -166,63 +177,48 @@ class Engine:
         _close(H, down=True)
         return H.reshape(-1)
 
-    def completable_batch(self, rows: np.ndarray) -> np.ndarray:
-        """completable_lattice read at the given rows, without the lattice.
-        Rows with a disallowed labelled triangle drop out.  A greedy pass
-        fills each blank pair, in lexicographic order, with the least label
-        that allowed3 accepts against every triangle through it whose other
-        two pairs are labelled or filled; a row it fills completely is
-        completable, its filling the certificate.  Rows where it gets stuck
-        go to an exact breadth-first frontier, which expands each blank pair
-        by every such label and retires a row as soon as one of its
+    def completable_batch(self, rows: np.ndarray, planes: np.ndarray) -> np.ndarray:
+        """completable_lattice read at the given rows, without the lattice;
+        planes are the rows' bit planes.  Rows with a disallowed labelled
+        triangle drop out, through the triangle kernel of member_batch.  A
+        greedy pass fills each blank pair, in lexicographic order, with the
+        least label that allowed3 accepts against every triangle through it
+        whose other two pairs are labelled or filled: the least set bit of
+        the AND of the masks of its partner pairs' labels.  A row it fills
+        completely is completable, its filling the certificate.  Rows where it
+        gets stuck go to an exact breadth-first frontier, which expands each
+        blank pair by every set bit and retires a row as soon as one of its
         children has no blanks left."""
-        fits = self.allowed3.reshape(self.base**2, self.base)
+        mask, bits, least = self._label_masks
 
         def labels_at(X: np.ndarray, q: int, sel: np.ndarray) -> np.ndarray:
-            """(rows sel selects, base) mask of the labels allowed at pair q."""
-            ok = np.logical_and.reduce([fits[self._code(X[a][sel], X[b][sel])] for a, b in self.partners[:, q].T])
-            ok[:, 0] = False
-            return ok
+            """Bitmask of the labels allowed at pair q, per column sel picks:
+            one flat take of X gathers only the partner rows."""
+            a, b = X.take(self.partners[:, q, :, None] * X.shape[1] + sel)
+            return np.bitwise_and.reduce(mask[a * self.base + b], axis=0)
 
-        cols = np.ascontiguousarray(rows.T)
-        out = self._triangles_hold(cols)
+        cols = rows.T
+        out = ~unpack(self._triangle_hits(planes, ~self.allowed3), len(rows))
         live = np.flatnonzero(out)
-        X = cols[:, live]
+        X = cols.take(live, axis=1)
         for q in range(self.P):
             blank = np.flatnonzero(X[q] == 0)
-            # argmax is the least allowed label, and 0 where none is.
-            X[q, blank] = labels_at(X, q, blank).argmax(axis=1)
-        stuck = live[(X == 0).any(axis=0)]
-        F, owner = cols[:, stuck], np.arange(stuck.size)
+            X[q, blank] = least[labels_at(X, q, blank)]
+        stuck = live[~X.all(axis=0)]
+        F, owner = cols.take(stuck, axis=1), np.arange(stuck.size)
         done = np.zeros(stuck.size, dtype=bool)
         for q in range(self.P):
-            blank = F[q] == 0
-            parent, label = np.nonzero(labels_at(F, q, blank))
-            kids = F[:, blank][:, parent]
-            kids[q] = label
-            F = np.concatenate([F[:, ~blank], kids], axis=1)
-            owner = np.concatenate([owner[~blank], owner[blank][parent]])
-            done[owner[(F[q + 1 :] != 0).all(axis=0)]] = True
-            F, owner = F[:, ~done[owner]], owner[~done[owner]]
+            blank = np.flatnonzero(F[q] == 0)
+            parent, label = np.nonzero(bits[labels_at(F, q, blank)])
+            # The columns labelled at q, then one copy of a blank column per child.
+            keep = np.concatenate([np.flatnonzero(F[q]), blank[parent]])
+            F, owner = F.take(keep, axis=1), owner[keep]
+            F[q, keep.size - label.size :] = label
+            done[owner[F[q + 1 :].all(axis=0)]] = True
+            alive = ~done[owner]
+            F, owner = F.compress(alive, axis=1), owner[alive]
         out[stuck] = done
         return out
-
-    def _code(self, *labels: np.ndarray) -> np.ndarray:
-        """Pack label columns into one code per row, most significant label
-        first: the flat index of that label tuple in allowed3 or a reshape of it.
-        Formed in code_dtype, as uint8 would wrap above 255 from delta = 6."""
-        code = labels[0].astype(self.code_dtype, copy=False)
-        for l in labels[1:]:
-            code = code * self.base + l
-        return code
-
-    def _triangles_hold(self, cols: np.ndarray) -> np.ndarray:
-        """Per row of the columns: allowed3 holds at every triangle's labels."""
-        flat = self.allowed3.reshape(-1)
-        ok = np.ones(cols.shape[1], dtype=bool)
-        for q1, q2, q3 in self.triangles.tolist():
-            ok &= flat[self._code(cols[q1], cols[q2], cols[q3])]
-        return ok
 
     def planes(self, rows: np.ndarray) -> np.ndarray:
         """Bit planes of label rows of any layout: bit i of byte j of plane

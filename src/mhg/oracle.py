@@ -160,10 +160,10 @@ def verify_equivalence(
     exhaustive mode the search verdict is the completability lattice, the
     witness-free verdict the obstruction lattice negated in place, and a
     chunk an aligned lattice block, not decoded; in sampled mode each
-    chunk's verdicts come from the batch search on the rows it decoded and
-    the obstruction scan on their planes.  Per n one byte per row is kept
-    for each verdict, and mismatches are counted per chunk; the few rows an
-    example or a spot check needs are decoded on demand.
+    chunk's verdicts come from the batch search and the obstruction scan on
+    the rows it decoded, packed once into planes.  Per n one byte per row is
+    kept for each verdict, and mismatches are counted per chunk; the few rows
+    an example or a spot check needs are decoded on demand.
     """
     if n_max < 3:
         raise ValueError("n_max must be at least 3")
@@ -234,7 +234,7 @@ def verify_equivalence(
                 rows = timed("decode", rows_at, np.arange(lo, hi, dtype=np.int64))
                 planes = timed("decode", eng.planes, rows)
                 wit_free[lo:hi] = ~unpack(timed("obstruction", eng.obstruction_batch, planes), hi - lo)
-                orc[lo:hi] = timed("search", eng.completable_batch, rows)
+                orc[lo:hi] = timed("search", eng.completable_batch, rows, planes)
             filled, fb = timed("complete", eng.complete_batch, planes)
             magic_ok[lo:hi] = unpack(timed("member", eng.member_batch, filled), hi - lo)
             chunks += 1

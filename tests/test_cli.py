@@ -524,6 +524,16 @@ def test_oversized_obstruction_set_refused(triangle, command):
     assert "tests 20029944 label multisets; at most 4000000 are supported" in proc.stderr
 
 
+def test_verify_large_delta_refused_before_engine_tables():
+    """Under (30,1,29,64,63) the n = 3 lattice passes the cap check, but F(p)
+    would test 4.5e23 label multisets: verify exits 2 with that message at
+    once, before any table sized by 2**(delta + 1) is built."""
+    proc = run_python(["-m", "mhg", "verify", "--n-max", "3", "--params", "30", "1", "29", "64", "63"], timeout=10)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "label multisets; at most 4000000 are supported" in proc.stderr
+
+
 def test_closed_stdout_pipe_is_quiet():
     """A reader that stops after one line, as `mhg params list 40 | head -1`
     does, ends the 199 kB listing without a traceback or exit code 3."""

@@ -74,6 +74,11 @@ def obstruction_bits(eng: Engine, rows: np.ndarray) -> np.ndarray:
     return unpack(eng.obstruction_batch(eng.planes(rows)), len(rows))
 
 
+def search_bits(eng: Engine, rows: np.ndarray) -> np.ndarray:
+    """completable_batch on rows and their planes."""
+    return eng.completable_batch(rows, eng.planes(rows))
+
+
 def test_engine_round_trips():
     eng = Engine(default_context(P_III3), 3)
     idx = np.arange(eng.size, dtype=np.int64)
@@ -82,6 +87,17 @@ def test_engine_round_trips():
     assert np.array_equal(lattice_index(eng, rows), idx)
     g = eng.row_to_graph(rows[37])
     assert np.array_equal([g.label(u, v) or 0 for u, v in eng.pairs], rows[37])
+
+
+@pytest.mark.parametrize("delta, n", [(4, 5), (4, 6)])
+def test_decode_matches_digit_expansion(delta, n):
+    """decode against Python's base-(delta + 1) digits at the ends and the
+    middle of the lattice.  The two lattices sit on either side of decode's
+    choice between uint32 and int64: 5**10 is below 2**32, 5**15 above."""
+    eng = Engine(default_context(enumerate_admissible(delta)[0]), n)
+    at = [0, 1, eng.size // 2, eng.size - 2, eng.size - 1]
+    want = [[i // eng.base**e % eng.base for e in range(eng.P - 1, -1, -1)] for i in at]
+    assert eng.decode(np.array(at, dtype=np.int64)).tolist() == want
 
 
 def test_engine_matches_scalar_routes_delta3_n3():
@@ -129,24 +145,22 @@ def test_complete_and_member_batch_match_scalar_delta3_all_n4():
     "t, n", [((3, 1, 3, 10, 9), 5), ((6, 3, 4, 16, 15), 4)], ids=["delta3-n5", "delta6-n4"]
 )
 def test_batch_operations_ignore_row_layout(t, n):
-    """The batch operations read pair-major columns.  On decode's transposed
-    view, on a C-ordered copy of it and on a strided row slice they return
-    equal arrays, and the input rows are left as they were.  Each pair is
-    blank with probability 0.45, so fallback pairs occur, and under the
-    delta = 6 tuple, whose triangle codes pass 255, the greedy search pass
-    leaves rows to its frontier."""
+    """On decode's transposed view, on a C-ordered copy of it and on a
+    strided row slice the batch operations return equal arrays, and the
+    input rows are left as they were.  Each pair is blank with probability
+    0.45, so fallback pairs occur, and under the delta = 6 tuple the greedy
+    search pass leaves rows to its frontier."""
     eng = Engine(default_context(ParameterSequence(*t)), n)
     rng = np.random.default_rng(sum(t))
     k = 400
     labels = rng.integers(1, eng.base, size=(k, eng.P)) * (rng.random((k, eng.P)) >= 0.45)
     rows = eng.decode(lattice_index(eng, labels))
     assert rows.T.flags.c_contiguous and not rows.flags.c_contiguous
-    want = [*magic_batch(eng, rows), obstruction_bits(eng, rows), eng.completable_batch(rows)]
+    want = [*magic_batch(eng, rows), obstruction_bits(eng, rows), search_bits(eng, rows)]
     assert np.array_equal(rows, labels)
     assert want[1].any() and want[2].any() and want[3].any() and want[4].any() and not want[4].all()
     for layout, sel in [(np.ascontiguousarray, slice(None)), (lambda x: x[::2], slice(None, None, 2))]:
-        got = [*magic_batch(eng, layout(rows)), obstruction_bits(eng, layout(rows))]
-        got.append(eng.completable_batch(layout(rows)))
+        got = [*magic_batch(eng, layout(rows)), obstruction_bits(eng, layout(rows)), search_bits(eng, layout(rows))]
         for w, g in zip(want, got):
             assert np.array_equal(w[sel], g)
 
@@ -204,7 +218,7 @@ def test_completable_batch_matches_lattice_all_n4():
     for p in params:
         eng = Engine(default_context(p), 4)
         rows = eng.decode(np.arange(eng.size, dtype=np.int64))
-        assert np.array_equal(eng.completable_batch(rows), eng.completable_lattice()), p
+        assert np.array_equal(search_bits(eng, rows), eng.completable_lattice()), p
 
 
 def test_completable_lattice_matches_batch_delta3_n5():
@@ -216,7 +230,7 @@ def test_completable_lattice_matches_batch_delta3_n5():
         assert lattice.any() and not lattice.all()
         for lo in range(0, eng.size, 1 << 18):
             idx = np.arange(lo, min(lo + (1 << 18), eng.size), dtype=np.int64)
-            assert np.array_equal(lattice[idx], eng.completable_batch(eng.decode(idx))), (p, lo)
+            assert np.array_equal(lattice[idx], search_bits(eng, eng.decode(idx))), (p, lo)
 
 
 def close_by_axis(H: np.ndarray, down: bool) -> None:
@@ -285,6 +299,19 @@ def test_obstruction_batch_matches_lattice_at_workload_size(t):
     assert bits.size == -(-k // 8) and bits[-1] >> (k % 8) == 0
 
 
+@pytest.mark.parametrize("t", [(5, 3, 3, 16, 13), (5, 1, 5, 12, 13)])
+def test_completable_batch_matches_lattice_at_workload_size(t):
+    """The batch search on one sampled chunk at the size verify draws:
+    65,531 seeded n = 5 lattice indices, a count that ends inside a byte,
+    against the search lattice at those indices."""
+    eng = Engine(default_context(ParameterSequence(*t)), 5)
+    k = (1 << 16) - 5
+    idx = np.random.default_rng(sum(t)).integers(0, eng.size, size=k, dtype=np.int64)
+    want = eng.completable_lattice()[idx]
+    assert want.any() and not want.all()
+    assert np.array_equal(search_bits(eng, eng.decode(idx)), want)
+
+
 def test_engine_forb3_matches_is_forbidden():
     """forb3, filled from the triangles of enumerate_forbidden, against
     is_forbidden on every label triple; label 0 (a blank pair) is never
@@ -299,13 +326,14 @@ def test_engine_forb3_matches_is_forbidden():
 
 # Every delta = 3 tuple at n = 4 and 5, and cases IIA, IIB (delta = 5) and
 # III (delta = 4) at n = 5: each pair has n - 2 partner vertices z, and the
-# lattice index spans several digits.  The delta = 6 tuple packs label
-# triples into codes above 255.
+# lattice index spans several digits.  The search's label masks are 7 bits
+# wide under the delta = 6 tuple and 9 bits under the delta = 8 one.
 SEEDED_ROW_CASES = [(p, n) for p in enumerate_admissible(3) for n in (4, 5)] + [
     (ParameterSequence(5, 3, 3, 14, 13), 5),
     (P_IIB, 5),
     (ParameterSequence(4, 2, 3, 14, 11), 5),
     (ParameterSequence(6, 3, 4, 16, 15), 4),
+    (ParameterSequence(8, 1, 7, 26, 23), 4),
 ]
 
 
@@ -326,7 +354,7 @@ def test_engine_matches_scalar_routes_seeded_rows(p, n):
     rows = np.concatenate([eng.decode(idx), sparse.astype(np.uint8)])
     assert np.array_equal(lattice_index(eng, rows[:k]), idx)
     completable = eng.completable_lattice()[lattice_index(eng, rows)]
-    searched = eng.completable_batch(rows)
+    searched = search_bits(eng, rows)
     filled, fb, member = magic_batch(eng, rows)
     obstructed = obstruction_bits(eng, rows)
     assert np.array_equal(eng.obstruction_lattice()[lattice_index(eng, rows)], obstructed)
@@ -408,7 +436,7 @@ def test_forbidden_cycles_are_obstructions_on_every_route():
         for k, graphs in by_length.items():
             eng = Engine(ctx, k)
             rows = np.array([[g.label(u, v) or 0 for u, v in eng.pairs] for g in graphs], dtype=np.uint8)
-            assert not eng.completable_batch(rows).any(), (p, k)
+            assert not search_bits(eng, rows).any(), (p, k)
             assert obstruction_bits(eng, rows).all(), (p, k)
             if k <= 4:
                 assert eng.obstruction_lattice()[lattice_index(eng, rows)].all(), (p, k)
