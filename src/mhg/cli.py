@@ -376,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params(verify)
     verify.add_argument("--n-max", type=int, required=True, dest="n_max")
     verify.add_argument("--sample", type=int, default=None)
-    verify.add_argument("--seed", type=int, default=0)
+    seed_help = "non-negative; numpy's default_rng(seed) draws sampled rows, random.Random(seed) spot-checked ones"
+    verify.add_argument("--seed", type=int, default=0, help=seed_help)
     verify.add_argument("--m", type=int, default=None, help="magic distance override")
     verify.add_argument(
         "--stats", action="store_true", help="print per-layer seconds and counters to stderr"

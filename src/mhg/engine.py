@@ -14,16 +14,16 @@ breadth-first frontier) and obstruction_batch answer for the drawn rows.  The
 batch routes read bit planes (after Biham, FSE 1997): plane [q, l] holds one
 bit per row, set where pair q has label l, so an AND or OR covers 8 rows per
 byte; membership, the obstruction scan and the search's triangle filter
-share one triangle kernel.  The search then fills pair-major label columns,
-a blank pair's allowed labels being the AND of one label bitmask per partner
-vertex.  An exhaustive chunk is an aligned lattice block
-whose planes are built, not decoded (a grid per Engine for the low pairs,
-constant high pairs); a sampled chunk packs its decoded rows once.  F(p) is
-read once per Engine: its triangles fill forb3, and its longer cycles form a
-trie of words, walked by (n, n) products of adjacency planes shared across
-prefixes and by the lattice's seeding.  The module holds no per-graph code:
-`mhg complete` and `mhg graph check` run on Python-int bitsets in completion
-and graphs.
+share one triangle kernel; each batch verdict comes back packed like a
+plane.  The search then fills pair-major label columns, a blank pair's
+allowed labels being the AND of one label bitmask per partner vertex.  An
+exhaustive chunk is an aligned lattice block whose planes are built, not
+decoded (a grid per Engine for the low pairs, constant high pairs); a
+sampled chunk packs its decoded rows once.  F(p) is read once per Engine:
+its triangles fill forb3, and its longer cycles form a trie of words, walked
+by (n, n) products of adjacency planes shared across prefixes and by the
+lattice's seeding.  The module holds no per-graph code: `mhg complete` and
+`mhg graph check` run on Python-int bitsets in completion and graphs.
 
 The scalar routines in completion, families and oracle stay the reference
 implementations; the verifier cross-checks sampled rows against them and
@@ -138,8 +138,9 @@ class Engine:
         """The search's tables, built on its first call: mask[a * base + b]
         has bit c set where allowed3[a, b, c], for labels c >= 1; over the
         2**base masks m, bits[m, c] is bit c of m and least[m] its least set
-        bit, 0 where none is.  F(p) refuses delta >= 10 in __init__, so bits
-        stays small and the uint8 index a * base + b never wraps."""
+        bit, 0 where none is.  The uint8 index a * base + b wraps past base 16."""
+        if self.base > 16:
+            raise ValueError(f"the batch search needs delta <= 15, not {self.p.delta}")
         mask = (self.allowed3[:, :, 1:] << np.arange(1, self.base)).sum(axis=-1).reshape(-1)
         bits = (np.arange(2**self.base)[:, None] >> np.arange(self.base) & 1).astype(bool)
         return mask.astype(np.min_scalar_type(2**self.base - 1)), bits, bits.argmax(axis=1).astype(np.uint8)
@@ -178,8 +179,8 @@ class Engine:
         return H.reshape(-1)
 
     def completable_batch(self, rows: np.ndarray, planes: np.ndarray) -> np.ndarray:
-        """completable_lattice read at the given rows, without the lattice;
-        planes are the rows' bit planes.  Rows with a disallowed labelled
+        """completable_lattice read at the given rows, without the lattice,
+        as packed bits like member_batch; planes are the rows' bit planes.  Rows with a disallowed labelled
         triangle drop out, through the triangle kernel of member_batch.  A
         greedy pass fills each blank pair, in lexicographic order, with the
         least label that allowed3 accepts against every triangle through it
@@ -218,7 +219,7 @@ class Engine:
             alive = ~done[owner]
             F, owner = F.compress(alive, axis=1), owner[alive]
         out[stuck] = done
-        return out
+        return np.packbits(out, bitorder="little")
 
     def planes(self, rows: np.ndarray) -> np.ndarray:
         """Bit planes of label rows of any layout: bit i of byte j of plane

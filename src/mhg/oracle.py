@@ -16,6 +16,7 @@ not enumerated.
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass, field
 
@@ -27,12 +28,12 @@ from .params import ParameterSequence
 
 _EXAMPLE_CAP = 20
 _FALLBACK_CAP = 5
-# Lattice points per n.  An exhaustive run holds the search and obstruction
-# lattices and a magic-ok verdict, one byte per point each, and scans them
-# for mismatches chunk by chunk: 600 MB at the cap.
-# A sampled run builds no lattice; it holds 8 index bytes and 3 verdict bytes
-# per sampled row, within the same 600 MB.  The cap still bounds n there,
-# since the batch search frontier has no per-row cap.
+# Lattice points per n.  An exhaustive run holds a lattice being built, one
+# byte per point, and three packed verdict bits per point: about 275 MB at
+# the cap, within a conservative 600 MB.  A sampled run builds no lattice;
+# its 8 index bytes and 3 verdict bits per row are budgeted at 8 + 3 bytes,
+# within the same 600 MB.  The cap still bounds n there, since the batch
+# search frontier has no per-row cap.
 _LATTICE_CAP = 200_000_000
 _SAMPLE_ROW_BYTES = 8 + 3
 # Rows per engine batch, at most; the working set of a batch is a few MB.
@@ -158,15 +159,18 @@ def verify_equivalence(
 
     Rows go through the engine in chunks of at most _CHUNK_ROWS.  In
     exhaustive mode the search verdict is the completability lattice, the
-    witness-free verdict the obstruction lattice negated in place, and a
-    chunk an aligned lattice block, not decoded; in sampled mode each
-    chunk's verdicts come from the batch search and the obstruction scan on
-    the rows it decoded, packed once into planes.  Per n one byte per row is
-    kept for each verdict, and mismatches are counted per chunk; the few rows
-    an example or a spot check needs are decoded on demand.
+    witness-free verdict the obstruction lattice negated in place, each
+    packed before the next is built, and a chunk an aligned lattice block;
+    in sampled mode the batch search and obstruction scan answer for the
+    rows each chunk decodes.  Per n each verdict is kept as packed bits,
+    padding bits 0, and mismatches are counted per chunk by XOR and
+    popcount.  numpy draws the sampled rows and random.Random(seed) the
+    spot-checked ones, so an exhaustive run never loads numpy.random.
     """
     if n_max < 3:
         raise ValueError("n_max must be at least 3")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     if sample is not None and sample < 1:
         raise ValueError("sample must be at least 1")
     if sample is not None and sample * _SAMPLE_ROW_BYTES > 3 * _LATTICE_CAP:
@@ -186,7 +190,7 @@ def verify_equivalence(
 
     ctx = default_context(p, m)
     start = time.monotonic()
-    rng = np.random.default_rng(seed)
+    spot_rng = random.Random(seed)
     checked = 0
     mismatches = {"witness": 0, "magic": 0}
     examples: list[dict] = []
@@ -194,13 +198,19 @@ def verify_equivalence(
     fb_examples: list[dict] = []
     spot = {"search": 0, "search_skipped": 0, "magic": 0, "witness": 0}
     seconds = dict.fromkeys(_LAYERS, 0.0)
-    points = chunks = completable_rows = 0
+    points = chunks = completable_rows = verdict_bytes = 0
 
     def timed(layer, fn, *args):
         t0 = time.perf_counter()
         out = fn(*args)
         seconds[layer] += time.perf_counter() - t0
         return out
+
+    def put(dst, bits):
+        """Write the first hi - lo packed bits into dst from bit lo on."""
+        b, off = divmod(lo, 8)
+        new = np.packbits(np.concatenate([unpack(dst[b : b + 1], off), unpack(bits, hi - lo)]), bitorder="little")
+        dst[b : b + new.size] = new
 
     for n in [n_max] if sample is not None else range(3, n_max + 1):
         eng = Engine(ctx, n)
@@ -211,15 +221,16 @@ def verify_equivalence(
             points += total
             k = next(k for k in range(eng.P, -1, -1) if eng.base**k <= _CHUNK_ROWS)
             step = eng.base**k
-            orc = timed("search", eng.completable_lattice)
+            orc = np.packbits(timed("search", eng.completable_lattice), bitorder="little")
             wit_free = timed("obstruction", eng.obstruction_lattice)
-            np.logical_not(wit_free, out=wit_free)
+            wit_free = np.packbits(np.logical_not(wit_free, out=wit_free), bitorder="little")
         else:
-            idx = rng.integers(0, eng.size, size=sample, dtype=np.int64)
+            # numpy.random (5 MiB) loads only for the rows sampled mode draws.
+            idx = np.random.default_rng(seed).integers(0, eng.size, size=sample, dtype=np.int64)
             total, step = sample, _CHUNK_ROWS
-            orc = np.empty(total, dtype=bool)
-            wit_free = np.empty(total, dtype=bool)
-        magic_ok = np.empty(total, dtype=bool)
+            orc, wit_free = np.zeros((2, -(-total // 8)), dtype=np.uint8)
+        magic_ok = np.zeros_like(orc)
+        verdict_bytes = max(verdict_bytes, 3 * orc.size)
         # The first _EXAMPLE_CAP mismatch positions per route.
         first: dict[str, list[int]] = {"witness": [], "magic": []}
 
@@ -233,10 +244,10 @@ def verify_equivalence(
             else:
                 rows = timed("decode", rows_at, np.arange(lo, hi, dtype=np.int64))
                 planes = timed("decode", eng.planes, rows)
-                wit_free[lo:hi] = ~unpack(timed("obstruction", eng.obstruction_batch, planes), hi - lo)
-                orc[lo:hi] = timed("search", eng.completable_batch, rows, planes)
+                put(wit_free, np.invert(timed("obstruction", eng.obstruction_batch, planes)))
+                put(orc, timed("search", eng.completable_batch, rows, planes))
             filled, fb = timed("complete", eng.complete_batch, planes)
-            magic_ok[lo:hi] = unpack(timed("member", eng.member_batch, filled), hi - lo)
+            put(magic_ok, timed("member", eng.member_batch, filled))
             chunks += 1
             fb_at = np.flatnonzero(unpack(np.bitwise_or.reduce(fb, axis=0), hi - lo))
             fb_graphs += fb_at.size
@@ -248,21 +259,25 @@ def verify_equivalence(
                         "pairs": [list(eng.pairs[q]) for q in np.flatnonzero(unpack(fb, hi - lo)[:, i])],
                     }
                 )
+            # The bytes this chunk completed: one shared with the next is compared there.
+            b0, b1 = lo // 8, orc.size if hi == total else hi // 8
             for kind, verdict in (("witness", wit_free), ("magic", magic_ok)):
-                at = np.flatnonzero(orc[lo:hi] != verdict[lo:hi])
-                mismatches[kind] += at.size
-                first[kind] += (at[: _EXAMPLE_CAP - len(first[kind])] + lo).tolist()
+                diff = orc[b0:b1] ^ verdict[b0:b1]
+                count = int(np.bitwise_count(diff).sum())
+                mismatches[kind] += count
+                if count and len(first[kind]) < _EXAMPLE_CAP:
+                    at = np.flatnonzero(unpack(diff, 8 * diff.size))[: _EXAMPLE_CAP - len(first[kind])]
+                    first[kind] += (at + 8 * b0).tolist()
         checked += total
-        completable_rows += int(np.count_nonzero(orc))
+        completable_rows += int(np.bitwise_count(orc).sum())
+        verdicts = (orc, wit_free, magic_ok)
 
-        timed("spot_check", _spot_check, eng, rows_at, orc, magic_ok, wit_free, rng, spot)
+        timed("spot_check", _spot_check, eng, rows_at, total, verdicts, spot_rng, spot)
 
         for kind, at in first.items():
             shown = np.array(at[: max(0, _EXAMPLE_CAP - len(examples))], dtype=np.int64)
             for i, row in zip(shown, rows_at(shown)):
-                examples.append(
-                    _confirmed(eng, row, kind, orc[i], wit_free[i], magic_ok[i])
-                )
+                examples.append(_confirmed(eng, row, kind, *(_bit(v, i) for v in verdicts)))
 
     stats = {
         "seconds": seconds,
@@ -271,6 +286,7 @@ def verify_equivalence(
         "chunks": chunks,
         "completable_fraction": completable_rows / checked,
         "search_skipped": spot["search_skipped"],
+        "verdict_bytes": verdict_bytes,
     }
     return EquivalenceReport(
         params=p.as_tuple(),
@@ -291,21 +307,26 @@ def verify_equivalence(
     )
 
 
-def _spot_check(eng, rows_at, orc, magic_ok, wit_free, rng, spot) -> None:
+def _bit(bits, i) -> bool:
+    """Row i of packed bits."""
+    return bool(bits[i >> 3] >> (i & 7) & 1)
+
+
+def _spot_check(eng, rows_at, total, verdicts, spot_rng, spot) -> None:
     """Scalar reference vs vectorized result over random rows, same route on
     both sides; any disagreement is an internal error, never a finding.
-    rows_at(positions) decodes the rows at those positions.  A search over
-    its budget skips the graph; BudgetExceededError from a witness search
-    propagates."""
+    rows_at(positions) decodes the rows at those positions, of the total rows
+    the packed verdicts cover.  A search over its budget skips the graph;
+    BudgetExceededError from a witness search propagates."""
     import numpy as np
 
     from .engine import plane_rows, unpack
 
-    total = orc.shape[0]
+    orc, wit_free, magic_ok = verdicts
     p = eng.p
 
     def pick(k: int) -> np.ndarray:
-        return rng.choice(total, size=min(k, total), replace=False)
+        return np.array(spot_rng.sample(range(total), min(k, total)), dtype=np.int64)
 
     chosen = pick(200)
     for i, row in zip(chosen, rows_at(chosen)):
@@ -315,7 +336,7 @@ def _spot_check(eng, rows_at, orc, magic_ok, wit_free, rng, spot) -> None:
         except BudgetExceededError:
             spot["search_skipped"] += 1
             continue
-        if ref != bool(orc[i]):
+        if ref != _bit(orc, i):
             raise RuntimeError(f"engine disagreement (search route) on {g!r}")
         spot["search"] += 1
     chosen = pick(50)
@@ -328,13 +349,13 @@ def _spot_check(eng, rows_at, orc, magic_ok, wit_free, rng, spot) -> None:
             raise RuntimeError(f"engine disagreement (completion route) on {g!r}")
         if {eng.pairs[q] for q in np.flatnonzero(row_fb)} != set(trace.fallback_pairs):
             raise RuntimeError(f"engine disagreement (fallback log) on {g!r}")
-        if is_member(p, done) != bool(magic_ok[i]):
+        if is_member(p, done) != _bit(magic_ok, i):
             raise RuntimeError(f"engine disagreement (membership route) on {g!r}")
         spot["magic"] += 1
     chosen = pick(12)
     for i, row in zip(chosen, rows_at(chosen)):
         g = eng.row_to_graph(row)
-        if (find_witness(p, g) is None) != bool(wit_free[i]):
+        if (find_witness(p, g) is None) != _bit(wit_free, i):
             raise RuntimeError(f"engine disagreement (obstruction route) on {g!r}")
         spot["witness"] += 1
 
@@ -347,7 +368,7 @@ def _confirmed(eng, row, kind, orc_v, wit_v, mag_v) -> dict:
     done, _ = magic_complete(eng.ctx, g)
     ref_magic = is_member(eng.p, done)
     ref_witness = find_witness(eng.p, g) is None
-    if (ref_search, ref_witness, ref_magic) != (bool(orc_v), bool(wit_v), bool(mag_v)):
+    if (ref_search, ref_witness, ref_magic) != (orc_v, wit_v, mag_v):
         raise RuntimeError(f"engine disagreement while confirming mismatch on {g!r}")
     return {
         "kind": kind,

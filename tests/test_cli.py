@@ -430,6 +430,17 @@ def test_verify_rejects_non_positive_sample(capsys, sample):
     assert "sample" in err
 
 
+@pytest.mark.parametrize("sample", [[], ["--sample", "50"]], ids=["exhaustive", "sampled"])
+def test_verify_rejects_negative_seed(capsys, sample):
+    """verify checks the seed itself in both modes: the stdlib picker of
+    spot-check rows would take a negative seed, and only sampled mode draws
+    rows with numpy, whose generator refuses it with its own message."""
+    code, out, err = run(capsys, ["verify", "--params", *III3, "--n-max", "4", "--seed", "-1", *sample])
+    assert code == 2
+    assert out == ""
+    assert "seed must be non-negative" in err
+
+
 @pytest.mark.parametrize("exc", [RuntimeError("engine disagreement"), MemoryError()])
 def test_internal_error_exit_code(capsys, monkeypatch, exc):
     def boom(args):

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 import tracemalloc
@@ -75,8 +76,8 @@ def obstruction_bits(eng: Engine, rows: np.ndarray) -> np.ndarray:
 
 
 def search_bits(eng: Engine, rows: np.ndarray) -> np.ndarray:
-    """completable_batch on rows and their planes."""
-    return eng.completable_batch(rows, eng.planes(rows))
+    """completable_batch on rows and their planes, read back per row."""
+    return unpack(eng.completable_batch(rows, eng.planes(rows)), len(rows))
 
 
 def test_engine_round_trips():
@@ -303,13 +304,17 @@ def test_obstruction_batch_matches_lattice_at_workload_size(t):
 def test_completable_batch_matches_lattice_at_workload_size(t):
     """The batch search on one sampled chunk at the size verify draws:
     65,531 seeded n = 5 lattice indices, a count that ends inside a byte,
-    against the search lattice at those indices."""
+    against the search lattice at those indices; the padding bits of the
+    last byte are 0."""
     eng = Engine(default_context(ParameterSequence(*t)), 5)
     k = (1 << 16) - 5
     idx = np.random.default_rng(sum(t)).integers(0, eng.size, size=k, dtype=np.int64)
+    rows = eng.decode(idx)
+    bits = eng.completable_batch(rows, eng.planes(rows))
     want = eng.completable_lattice()[idx]
     assert want.any() and not want.all()
-    assert np.array_equal(search_bits(eng, eng.decode(idx)), want)
+    assert np.array_equal(unpack(bits, k), want)
+    assert bits.size == -(-k // 8) and bits[-1] >> (k % 8) == 0
 
 
 def test_engine_forb3_matches_is_forbidden():
@@ -483,10 +488,125 @@ def test_verify_padding_bits_are_not_rows():
     assert report.fallback_graph_count == want > 0
 
 
+# Its all-4 graphs are members, so the last n = 4 lattice point, alone in
+# the final byte of the packed verdicts, is completable.
+P_DELTA4 = ParameterSequence(4, 1, 3, 14, 11)
+# The report's counters that do not depend on how rows are chunked.
+CHUNK_FREE_STATS = ("lattice_points", "rows_checked", "completable_fraction", "search_skipped", "verdict_bytes")
+
+
+def test_verify_mid_byte_chunks_match_default_chunking(monkeypatch):
+    """Under delta = 4 with _CHUNK_ROWS = 125 the n = 4 lattice runs in 125
+    blocks of 125 points, so every chunk but the first starts inside a byte
+    of the packed verdicts; the JSON bytes and the counters equal those of
+    the default chunking, one block per n."""
+    want = verify_equivalence(P_DELTA4, 4)
+    monkeypatch.setattr(oracle, "_CHUNK_ROWS", 125)
+    got = verify_equivalence(P_DELTA4, 4)
+    assert json.dumps(got.to_json_obj()) == json.dumps(want.to_json_obj())
+    assert (want.stats["chunks"], got.stats["chunks"]) == (2, 1 + 125)
+    for key in CHUNK_FREE_STATS:
+        assert got.stats[key] == want.stats[key], key
+
+
+def test_verify_mid_byte_chunks_report_the_same_mismatches(monkeypatch):
+    """The member flip of test_verify_reports_confirmed_mismatches, on the
+    n = 4 lattice only, so every example comes from the chunked lattice:
+    chunks of 125 and of 5 points, which start inside a byte, report the
+    same 20 examples and counts as one 15,625-point block."""
+    member_batch = Engine.member_batch
+    monkeypatch.setattr(
+        Engine,
+        "member_batch",
+        lambda self, planes: member_batch(self, planes) if self.n < 4 else np.zeros(planes.shape[-1], dtype=np.uint8),
+    )
+    monkeypatch.setattr(oracle, "is_member", lambda p, g: g.n < 4 and is_member(p, g))
+    reports = []
+    for chunk_rows in (oracle._CHUNK_ROWS, 125, 5):
+        monkeypatch.setattr(oracle, "_CHUNK_ROWS", chunk_rows)
+        reports.append(verify_equivalence(P_DELTA4, 4))
+    want = reports[0]
+    completable = Engine(default_context(P_DELTA4), 4).completable_lattice()
+    assert completable[-1] and 5**6 % 8 == 1
+    assert want.magic_mismatch_count == completable.sum() > 20 and want.witness_mismatch_count == 0
+    assert len(want.mismatch_examples) == 20
+    assert all(ex["kind"] == "magic" and ex["n"] == 4 for ex in want.mismatch_examples)
+    for got in reports[1:]:
+        assert got.to_json_obj() == want.to_json_obj()
+
+
+def dirty_padding(stage):
+    """stage with the padding bits of its packed output set: the rows of
+    the planes, its last argument, are the set bits of pair 0's planes."""
+
+    def run(self, *args):
+        bits = stage(self, *args).copy()
+        count = int(np.bitwise_count(np.bitwise_or.reduce(args[-1][0], axis=0)).sum())
+        if count % 8:
+            bits[count // 8] |= 0xFF << (count % 8) & 0xFF
+        return bits
+
+    return run
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 1021])
+@pytest.mark.parametrize("stage", ["completable_batch", "obstruction_batch", "member_batch"])
+def test_verify_sampled_padding_bits_never_count(monkeypatch, stage, chunk_rows):
+    """A sampled run of 65,531 rows ends inside a byte, and with chunks of
+    1,021 rows nearly every chunk does: a stage whose padding bits are set
+    gives the report and counters of the clean run."""
+    want = verify_equivalence(P_IIB, 5, sample=65_531, seed=3)
+    assert want.stats["verdict_bytes"] == 3 * 8192
+    monkeypatch.setattr(Engine, stage, dirty_padding(getattr(Engine, stage)))
+    if chunk_rows:
+        monkeypatch.setattr(oracle, "_CHUNK_ROWS", chunk_rows)
+    got = verify_equivalence(P_IIB, 5, sample=65_531, seed=3)
+    assert got.to_json_obj() == want.to_json_obj()
+    for key in CHUNK_FREE_STATS:
+        assert got.stats[key] == want.stats[key], key
+
+
+def test_verify_stats_verdict_bytes():
+    """Three packed verdicts per n, the largest n deciding: 3 * 4**10 / 8
+    bytes for delta = 3 at n = 5."""
+    assert verify_equivalence(P_III3, 5).stats["verdict_bytes"] == 3 * -(-(4**10) // 8) == 393_216
+
+
+def test_numpy_random_loads_only_for_sampled_rows():
+    """Spot-check rows come from the stdlib generator, so an exhaustive run
+    never imports numpy.random; a sampled run draws its rows with it."""
+    code = (
+        "import sys\n"
+        "from mhg.oracle import verify_equivalence\n"
+        "from mhg.params import ParameterSequence\n"
+        "p = ParameterSequence(3, 1, 3, 10, 9)\n"
+        "assert verify_equivalence(p, 4).ok\n"
+        "assert 'numpy' in sys.modules and 'numpy.random' not in sys.modules\n"
+        "assert verify_equivalence(p, 4, sample=50).ok\n"
+        "assert 'numpy.random' in sys.modules\n"
+    )
+    proc = run_python(["-c", code], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_label_masks_refuse_delta_above_15(monkeypatch):
+    """The search's uint8 table index a * base + b holds base 16 and wraps
+    at base 17.  F(p) refuses delta >= 10 on its own, so it is stubbed
+    empty to build an Engine at delta = 16; at delta = 15 the batch search
+    still equals the lattice on every n = 3 point."""
+    monkeypatch.setattr(engine, "enumerate_forbidden", lambda p: [])
+    eng = Engine(default_context(enumerate_admissible(16)[0]), 3)
+    with pytest.raises(ValueError, match="delta <= 15"):
+        search_bits(eng, eng.decode(np.arange(4)))
+    eng = Engine(default_context(enumerate_admissible(15)[0]), 3)
+    assert np.array_equal(search_bits(eng, eng.decode(np.arange(eng.size))), eng.completable_lattice())
+
+
 def test_verify_exhaustive_peak_memory():
-    """An exhaustive run keeps three verdict bytes per lattice point and
-    scans mismatches chunk by chunk: (4,1,4,10,11) to n = 5, 9.8 M points,
-    peaks below 3.5 bytes per point under tracemalloc."""
+    """An exhaustive run keeps three verdict bits per lattice point and
+    packs each lattice before the next is built, so one lattice byte per
+    point is the peak: (4,1,4,10,11) to n = 5, 9.8 M points, peaks below
+    1.5 bytes per point under tracemalloc."""
     tracemalloc.start()
     try:
         report = verify_equivalence(ParameterSequence(4, 1, 4, 10, 11), 5)
@@ -494,7 +614,7 @@ def test_verify_exhaustive_peak_memory():
     finally:
         tracemalloc.stop()
     assert report.ok and report.graphs_checked > 5**10
-    assert peak < 3.5 * 5**10
+    assert peak < 1.5 * 5**10
 
 
 def test_verify_stats_keys():
@@ -507,6 +627,7 @@ def test_verify_stats_keys():
         "chunks",
         "completable_fraction",
         "search_skipped",
+        "verdict_bytes",
     }
     assert set(stats["seconds"]) == {
         "search",
@@ -600,7 +721,7 @@ def _flip_completion(out):
 # the route.
 ENGINE_FLIPS = {
     "search route": ("completable_lattice", np.logical_not, None),
-    "search route, sampled": ("completable_batch", np.logical_not, 50),
+    "search route, sampled": ("completable_batch", np.invert, 50),
     "completion route": ("complete_batch", _flip_completion, None),
     "fallback log": ("complete_batch", lambda out: (out[0], ~out[1]), None),
     "membership route": ("member_batch", np.invert, None),
