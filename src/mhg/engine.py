@@ -180,16 +180,16 @@ class Engine:
 
     def completable_batch(self, rows: np.ndarray, planes: np.ndarray) -> np.ndarray:
         """completable_lattice read at the given rows, without the lattice,
-        as packed bits like member_batch; planes are the rows' bit planes.  Rows with a disallowed labelled
-        triangle drop out, through the triangle kernel of member_batch.  A
-        greedy pass fills each blank pair, in lexicographic order, with the
-        least label that allowed3 accepts against every triangle through it
-        whose other two pairs are labelled or filled: the least set bit of
-        the AND of the masks of its partner pairs' labels.  A row it fills
-        completely is completable, its filling the certificate.  Rows where it
-        gets stuck go to an exact breadth-first frontier, which expands each
-        blank pair by every set bit and retires a row as soon as one of its
-        children has no blanks left."""
+        packed like member_batch; planes are the rows' bit planes.  Rows with
+        a disallowed labelled triangle drop out, through the triangle kernel
+        of member_batch.  A greedy pass fills each blank pair, in
+        lexicographic order, with the least label that allowed3 accepts
+        against every triangle through it whose other two pairs are labelled
+        or filled: the least set bit of the AND of the masks of its partner
+        pairs' labels.  A row it fills completely is completable, its filling
+        the certificate.  Rows where it gets stuck go to an exact breadth-first
+        frontier, which expands each blank pair by every set bit and retires a
+        row as soon as one of its children has no blanks left."""
         mask, bits, least = self._label_masks
 
         def labels_at(X: np.ndarray, q: int, sel: np.ndarray) -> np.ndarray:

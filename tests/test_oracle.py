@@ -458,20 +458,35 @@ def test_verify_counts_skipped_search_spot_checks(monkeypatch):
     assert report.spot_checks["search_skipped"] > 0
     assert report.stats["search_skipped"] == report.spot_checks["search_skipped"]
 
+# Its all-4 graphs are members, so the last n = 4 lattice point, alone in
+# the final byte of the packed verdicts, is completable.
+P_DELTA4 = ParameterSequence(4, 1, 3, 14, 11)
+# The report's counters that do not depend on how rows are chunked.
+CHUNK_FREE_STATS = ("lattice_points", "rows_checked", "completable_fraction", "search_skipped", "verdict_bytes")
+
+
 @pytest.mark.parametrize(
-    "p, n_max, kwargs",
-    [(P_III3, 4, {}), (P_IIB, 4, {"sample": 400, "seed": 11})],
-    ids=["exhaustive", "sampled"],
+    "p, kwargs, chunk_rows, chunks",
+    [
+        (P_III3, {}, 7, 4**3 // 4 + 4**6 // 4),
+        (P_IIB, {"sample": 400, "seed": 11}, 7, -(-400 // 7)),
+        (P_DELTA4, {}, 125, 1 + 125),
+    ],
+    ids=["exhaustive", "sampled", "delta4-blocks-of-125"],
 )
-def test_verify_chunk_size_does_not_change_report(monkeypatch, p, n_max, kwargs):
-    """A prime chunk size puts chunk boundaries everywhere; the report must
-    not depend on them.  Exhaustive chunks are aligned blocks of 4 points,
-    the largest power of the base at most 7."""
-    want = verify_equivalence(p, n_max, **kwargs)
-    monkeypatch.setattr(oracle, "_CHUNK_ROWS", 7)
-    got = verify_equivalence(p, n_max, **kwargs)
-    assert got.to_json_obj() == want.to_json_obj()
-    assert got.stats["chunks"] == (4**3 // 4 + 4**6 // 4 if not kwargs else -(-400 // 7))
+def test_verify_chunk_size_does_not_change_report(monkeypatch, p, kwargs, chunk_rows, chunks):
+    """Chunk boundaries everywhere must not change the JSON bytes or the
+    counters.  Under delta = 3 a chunk of at most 7 rows is an aligned block
+    of 4 points; under delta = 4 the n = 4 lattice runs in 125 blocks of
+    125 points, and every block but the first starts inside a byte of the
+    packed verdicts."""
+    want = verify_equivalence(p, 4, **kwargs)
+    monkeypatch.setattr(oracle, "_CHUNK_ROWS", chunk_rows)
+    got = verify_equivalence(p, 4, **kwargs)
+    assert json.dumps(got.to_json_obj()) == json.dumps(want.to_json_obj())
+    assert got.stats["chunks"] == chunks
+    for key in CHUNK_FREE_STATS:
+        assert got.stats[key] == want.stats[key], key
 
 
 def test_verify_padding_bits_are_not_rows():
@@ -486,27 +501,6 @@ def test_verify_padding_bits_are_not_rows():
         eng = Engine(default_context(p), n)
         want += int(magic_batch(eng, eng.decode(np.arange(eng.size)))[1].any(axis=1).sum())
     assert report.fallback_graph_count == want > 0
-
-
-# Its all-4 graphs are members, so the last n = 4 lattice point, alone in
-# the final byte of the packed verdicts, is completable.
-P_DELTA4 = ParameterSequence(4, 1, 3, 14, 11)
-# The report's counters that do not depend on how rows are chunked.
-CHUNK_FREE_STATS = ("lattice_points", "rows_checked", "completable_fraction", "search_skipped", "verdict_bytes")
-
-
-def test_verify_mid_byte_chunks_match_default_chunking(monkeypatch):
-    """Under delta = 4 with _CHUNK_ROWS = 125 the n = 4 lattice runs in 125
-    blocks of 125 points, so every chunk but the first starts inside a byte
-    of the packed verdicts; the JSON bytes and the counters equal those of
-    the default chunking, one block per n."""
-    want = verify_equivalence(P_DELTA4, 4)
-    monkeypatch.setattr(oracle, "_CHUNK_ROWS", 125)
-    got = verify_equivalence(P_DELTA4, 4)
-    assert json.dumps(got.to_json_obj()) == json.dumps(want.to_json_obj())
-    assert (want.stats["chunks"], got.stats["chunks"]) == (2, 1 + 125)
-    for key in CHUNK_FREE_STATS:
-        assert got.stats[key] == want.stats[key], key
 
 
 def test_verify_mid_byte_chunks_report_the_same_mismatches(monkeypatch):
