@@ -199,26 +199,20 @@ def classify_cycle(p: ParameterSequence, cycle: Cycle) -> list[FamilyWitness]:
     return sorted(out, key=lambda w: (w.tag.value, w.n, w.d_edges))
 
 
-def _family_edge_bounds(p: ParameterSequence) -> dict[FamilyTag, int]:
-    """Largest possible edge count per family, from the inequalities:
-    every filler is >= 1 and every distinguished edge is <= delta."""
-    d, k1, k2 = p.delta, p.k1, p.k2
-    bounds = {
-        FamilyTag.NON_METRIC: d,
-        FamilyTag.K1_CYCLE: 2 * k1 - 1,
-        FamilyTag.K2_CYCLE: 4 * (d - k2),
-        FamilyTag.C_CYCLE: 2 * d - 1,
-        FamilyTag.C0_CYCLE: 3 + max(-1, 3 * d - p.c0),
-        FamilyTag.C1_CYCLE: 3 + max(-1, 3 * d - p.c1),
-        FamilyTag.SPECIAL_5: 5,
-    }
-    return bounds
-
-
+@functools.cache
 def walk_bound(p: ParameterSequence) -> int:
-    """Edge-count bound B: no obstruction cycle for p is longer than this."""
-    bounds = _family_edge_bounds(p)
-    return max(3, max(bounds[t] for t in active_tags(p)))
+    """Edge-count bound B: no obstruction cycle for p is longer than this.
+    k labels in 1..delta give 2*sum(d) - total <= size*(delta + 1) - k, so B
+    is the largest k at which that relaxation of an active inequality holds,
+    for either parity of the total and either metric flag (none does past
+    4*delta + 1, as C >= 2*delta + 2), or 5 for the special pentagon."""
+    tags = active_tags(p)
+    fits = (
+        k for k in range(4 * p.delta + 1, 2, -1) for total in (0, 1) for metric in (False, True)
+        for tag, _, size, bound in _inequalities(p, total, k, metric)
+        if tag in tags and size * (p.delta + 1) - k > bound
+    )
+    return max(next(fits, 3), 5 if FamilyTag.SPECIAL_5 in tags else 3)
 
 
 def _distinct_perms(pool: Cycle) -> Iterator[Cycle]:
@@ -240,8 +234,8 @@ def _arrangements(ms: Cycle) -> set[Cycle]:
     return {canonical_cycle((ms[0],) + rest) for rest in _distinct_perms(ms[1:])}
 
 
-# Most label multisets _forbidden_multisets tests.  Every delta <= 9 tuple
-# fits (at most 3.1 million, 23-33 s on a 2-core Xeon); most delta = 10 do not.
+# Most label multisets _forbidden_multisets tests.  Every delta <= 9 tuple fits
+# (at most 3.1 million, about 25 s on a 2-core Xeon), as do 182 of 188 delta = 10.
 MAX_MULTISETS = 4_000_000
 
 

@@ -303,6 +303,8 @@ def is_member(p: ParameterSequence, g: EdgeLabelledGraph, scan=first_violating_t
     return g.is_complete() and g.max_label() <= p.delta and scan(p, g) is None
 
 
+# No program path calls this.  It stays as the tests' reference scan for
+# families.find_witness because perfbench/tracing.py hooks it by name.
 def closed_walks_with_vertices(
     g: EdgeLabelledGraph, max_len: int
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .families import FamilyTag, _holding_tags, active_tags
+from .families import FamilyTag, _holding_tags, active_tags, walk_bound
 from .params import ParameterSequence
 
 TAG_SYMBOLS = {
@@ -124,17 +124,16 @@ class OneDeltaTable:
 
 @cache
 def render_table(p: ParameterSequence) -> OneDeltaTable:
-    """Sweep the cell grid; the family inequalities cannot fire beyond
-    3*delta + 3 in either coordinate.  Cached: both the tuple and the
-    table are frozen."""
-    cap = 3 * p.delta + 3
-    tags = _ordered_tags(p)
-    cells = []
-    for i in range(cap + 1):
-        for j in range(cap + 1):
-            tag = _cell_tag(p, tags, i, j)
-            if tag is not None:
-                cells.append(OneDeltaCell(i, j, tag))
+    """Sweep the cells with i + j <= walk_bound(p): a cell is a multiset of
+    i + j labels, and no obstruction cycle is longer.  Cached: both the
+    tuple and the table are frozen."""
+    bound, tags = walk_bound(p), _ordered_tags(p)
+    cells = (
+        OneDeltaCell(i, j, tag)
+        for i in range(bound + 1)
+        for j in range(bound + 1 - i)
+        if (tag := _cell_tag(p, tags, i, j)) is not None
+    )
     return OneDeltaTable(p, tuple(cells))
 
 

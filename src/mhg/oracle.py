@@ -31,9 +31,9 @@ _FALLBACK_CAP = 5
 # Lattice points per n.  An exhaustive run holds a lattice being built, one
 # byte per point, and three packed verdict bits per point: about 275 MB at
 # the cap, within a conservative 600 MB.  A sampled run builds no lattice;
-# its 8 index bytes and 3 verdict bits per row are budgeted at 8 + 3 bytes,
-# within the same 600 MB.  The cap still bounds n there, since the batch
-# search frontier has no per-row cap.
+# its 4 index bytes and 3 verdict bits per row are budgeted, generously, at
+# 8 + 3 bytes, within the same 600 MB.  The cap still bounds n there, since
+# the batch search frontier has no per-row cap.
 _LATTICE_CAP = 200_000_000
 _SAMPLE_ROW_BYTES = 8 + 3
 # Rows per engine batch, at most; the working set of a batch is a few MB.
@@ -225,8 +225,9 @@ def verify_equivalence(
             wit_free = timed("obstruction", eng.obstruction_lattice)
             wit_free = np.packbits(np.logical_not(wit_free, out=wit_free), bitorder="little")
         else:
-            # numpy.random (5 MiB) loads only for the rows sampled mode draws.
-            idx = np.random.default_rng(seed).integers(0, eng.size, size=sample, dtype=np.int64)
+            # numpy.random (5 MiB) loads only here.  Each chunk draws its indices
+            # as int64, one stream however chunked, kept as uint32 as the cap allows.
+            rng, idx = np.random.default_rng(seed), np.empty(sample, dtype=np.uint32)
             total, step = sample, _CHUNK_ROWS
             orc, wit_free = np.zeros((2, -(-total // 8)), dtype=np.uint8)
         magic_ok = np.zeros_like(orc)
@@ -242,6 +243,7 @@ def verify_equivalence(
             if idx is None:
                 planes = timed("decode", eng.block_planes, lo // step, k)
             else:
+                idx[lo:hi] = rng.integers(0, eng.size, size=hi - lo, dtype=np.int64)
                 rows = timed("decode", rows_at, np.arange(lo, hi, dtype=np.int64))
                 planes = timed("decode", eng.planes, rows)
                 put(wit_free, np.invert(timed("obstruction", eng.obstruction_batch, planes)))

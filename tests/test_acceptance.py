@@ -207,7 +207,9 @@ def test_criterion_5_closure():
                         for s in steps(ctx, w):
                             assert s in fset, (p.as_tuple(), m, w, s)
                             transitions += 1
-                    for t in inverse_steps(ctx, w, bound):
+                    # One edge past the bound, so that the longest
+                    # members' inverse steps are generated and checked too.
+                    for t in inverse_steps(ctx, w, bound + 1):
                         assert t in fset, (p.as_tuple(), m, w, t)
                         transitions += 1
     ctx = MagicContext(P_IIB, 3)

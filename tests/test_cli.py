@@ -378,6 +378,26 @@ def test_table_json(capsys):
     assert len(obj["cells"]) == 11
 
 
+def test_family_enumerate_delta9_is_fast():
+    """F(p) for (9,1,8,22,21) tests the label multisets of 3 to
+    walk_bound(p) = 9 labels, the length of its longest member; under a
+    looser bound of 17 it took 21-24 s in a fresh process (2-core Xeon)."""
+    proc = run_python(["-m", "mhg", "family", "enumerate", "--params", "9", "1", "8", "22", "21", "--json"], timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    cycles = json.loads(proc.stdout)["cycles"]
+    assert len(cycles) == 1017
+    assert max(map(len, cycles)) == 9
+
+
+def test_table_delta100_is_fast():
+    """The table sweeps the cells with i + j <= walk_bound(p); over the
+    (3 delta + 4)^2 grid, delta = 100 took 7-11 s in a fresh process
+    (2-core Xeon)."""
+    proc = run_python(["-m", "mhg", "table", "--params", "100", "100", "100", "302", "301", "--json"], timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["cells"]) == 197
+
+
 def test_twisted(capsys):
     code, out, _ = run(
         capsys,
@@ -526,10 +546,11 @@ def test_family_witness_huge_sparse_graph(tmp_path, edges, code, out):
     ids=["enumerate", "witness", "verify"],
 )
 def test_oversized_obstruction_set_refused(triangle, command):
-    """Under (10,1,9,24,23) F(p) means testing 2.0e7 label multisets, minutes
-    of work: each command that enumerates it exits 2 before starting."""
+    """Under (10,1,10,22,23) F(p) means testing 2.0e7 label multisets, of 3
+    to 19 labels, minutes of work: each command that enumerates it exits 2
+    before starting."""
     argv = [triangle if a == "TRIANGLE" else a for a in command]
-    proc = run_python(["-m", "mhg", *argv, "--params", "10", "1", "9", "24", "23"], timeout=30)
+    proc = run_python(["-m", "mhg", *argv, "--params", "10", "1", "10", "22", "23"], timeout=30)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert "tests 20029944 label multisets; at most 4000000 are supported" in proc.stderr
@@ -537,7 +558,7 @@ def test_oversized_obstruction_set_refused(triangle, command):
 
 def test_verify_large_delta_refused_before_engine_tables():
     """Under (30,1,29,64,63) the n = 3 lattice passes the cap check, but F(p)
-    would test 4.5e23 label multisets: verify exits 2 with that message at
+    would test 1.2e17 label multisets: verify exits 2 with that message at
     once, before any table sized by 2**(delta + 1) is built."""
     proc = run_python(["-m", "mhg", "verify", "--n-max", "3", "--params", "30", "1", "29", "64", "63"], timeout=10)
     assert proc.returncode == 2, proc.stderr

@@ -238,7 +238,7 @@ def test_is_forbidden_matches_decompositions():
     search restricted to the active families."""
     for p in (P_IIB, P_III4, P_III4N, P_III3):
         tags = active_tags(p)
-        bound = walk_bound(p)
+        bound = _closed_form_bound(p)
         for k in range(3, bound + 1):
             for ms in combinations_with_replacement(range(1, p.delta + 1), k):
                 direct = any(w.tag in tags for w in classify_cycle(p, ms))
@@ -246,9 +246,44 @@ def test_is_forbidden_matches_decompositions():
 
 
 def test_walk_bound_frozen():
-    assert walk_bound(P_IIB) == 8
-    assert walk_bound(P_III3) == 5
+    assert walk_bound(P_IIB) == 5
+    assert walk_bound(P_III3) == 3
     assert walk_bound(P_III4) == 4
+
+
+def _closed_form_bound(p: ParameterSequence) -> int:
+    """A looser edge-count bound, one closed form per family, derived by hand
+    from the inequalities: every filler is >= 1 and every distinguished
+    label is <= delta."""
+    d, k1, k2 = p.delta, p.k1, p.k2
+    bounds = {
+        FamilyTag.NON_METRIC: d,
+        FamilyTag.K1_CYCLE: 2 * k1 - 1,
+        FamilyTag.K2_CYCLE: 4 * (d - k2),
+        FamilyTag.C_CYCLE: 2 * d - 1,
+        FamilyTag.C0_CYCLE: 3 + max(-1, 3 * d - p.c0),
+        FamilyTag.C1_CYCLE: 3 + max(-1, 3 * d - p.c1),
+        FamilyTag.SPECIAL_5: 5,
+    }
+    return max(3, max(bounds[t] for t in active_tags(p)))
+
+
+def test_walk_bound_is_longest_member_under_closed_form():
+    """The multiset filter run up to the hand-derived bound finds exactly
+    the members that _forbidden_multisets finds up to walk_bound(p), and the
+    longest of them has walk_bound(p) labels: the derived bound is tight
+    and cuts off no member, on every admissible tuple with delta <= 5."""
+    for d in range(3, 6):
+        for p in enumerate_admissible(d):
+            tags = active_tags(p)
+            found = tuple(
+                ms
+                for k in range(3, _closed_form_bound(p) + 1)
+                for ms in combinations_with_replacement(range(1, d + 1), k)
+                if not families._holding_tags(p, ms).isdisjoint(tags)
+            )
+            assert found == families._forbidden_multisets(p), p
+            assert max(map(len, found)) == walk_bound(p), p
 
 
 def test_multiset_cap_admits_every_delta9_tuple():

@@ -80,11 +80,13 @@ def test_classify_1d_rejects_non_admissible():
 def test_cells_match_multiset_membership():
     """A cell fires exactly when the corresponding label multiset is in the
     obstruction set, its tag is one of the firing families, and no second
-    active family fires, so the tag does not hang on the tie-break order."""
+    active family fires, so the tag does not hang on the tie-break order.
+    render_table, which sweeps fewer cells, finds the same ones."""
     for delta in range(3, 7):
         for p in enumerate_admissible(delta):
             cap = 3 * delta + 3
             tags = active_tags(p)
+            found = {}
             for i in range(cap + 1):
                 for j in range(cap + 1):
                     if i + j < 3:
@@ -93,10 +95,13 @@ def test_cells_match_multiset_membership():
                     ms = (delta,) * i + (1,) * j
                     tag = classify_1d(p, i, j)
                     assert (tag is not None) == is_forbidden(p, ms), (p, i, j)
+                    if tag is not None:
+                        found[i, j] = tag
                     assert len(_holding_tags(p, ms) & tags) <= 1, (p, i, j)
                     if tag is not None and i + j <= 12:
                         assert tag in tags
                         assert tag in {w.tag for w in classify_cycle(p, ms)}
+            assert render_table(p).cell_map == found, p
 
 
 def test_cell_invariants():

@@ -377,12 +377,13 @@ def test_engine_matches_scalar_routes_seeded_rows(p, n):
 @pytest.mark.parametrize("n", [6, 7, 8, 9])
 def test_obstruction_batch_matches_find_witness_triangle_free(t, n):
     """The plane-product word walk against find_witness where only cycles
-    of 4 to 9 edges can obstruct: seeded rows, each pair blank with
-    probability 0.6, keeping those without a forbidden triangle.  Walks
-    reach length 9 under both tuples, so the trie is walked to its full
-    depth over (n, n) adjacency planes."""
+    of 4 to walk_bound(p) edges can obstruct: seeded rows, each pair blank
+    with probability 0.6, keeping those without a forbidden triangle.  The
+    longest obstruction cycles have 9 and 7 edges under the two tuples, so
+    the trie is walked to its full depth over (n, n) adjacency planes."""
     p = ParameterSequence(*t)
-    assert walk_bound(p) == 9
+    longest = {(5, 1, 5, 12, 13): 9, (5, 4, 4, 16, 15): 7}[t]
+    assert walk_bound(p) == max(map(len, enumerate_forbidden(p))) == longest
     eng = Engine(default_context(p), n)
     rng = np.random.default_rng(n * 1000 + sum(t))
     k = 2000
@@ -487,6 +488,24 @@ def test_verify_chunk_size_does_not_change_report(monkeypatch, p, kwargs, chunk_
     assert got.stats["chunks"] == chunks
     for key in CHUNK_FREE_STATS:
         assert got.stats[key] == want.stats[key], key
+
+
+def test_sampled_rows_are_one_int64_draw(monkeypatch):
+    """Sampled verify draws its indices a chunk at a time, here 7 rows, and
+    keeps them as uint32; the rows its batch search sees are still those of
+    one int64 draw of all `sample` indices from default_rng(seed)."""
+    monkeypatch.setattr(oracle, "_CHUNK_ROWS", 7)
+    seen = []
+    batch = Engine.completable_batch
+
+    def spy(self, rows, planes):
+        seen.append(lattice_index(self, rows))
+        return batch(self, rows, planes)
+
+    monkeypatch.setattr(Engine, "completable_batch", spy)
+    verify_equivalence(P_IIB, 4, sample=400, seed=11)
+    want = np.random.default_rng(11).integers(0, 6**6, size=400, dtype=np.int64)
+    assert np.concatenate(seen).tolist() == want.tolist()
 
 
 def test_verify_padding_bits_are_not_rows():
@@ -609,6 +628,22 @@ def test_verify_exhaustive_peak_memory():
         tracemalloc.stop()
     assert report.ok and report.graphs_checked > 5**10
     assert peak < 1.5 * 5**10
+
+
+def test_verify_sampled_peak_memory():
+    """A sampled run keeps 4 index bytes and 3 verdict bits per row, so
+    4 M rows of (3,1,3,10,9) at n = 5 peak below 4.4 bytes per row plus
+    8 MiB for one chunk's working set under tracemalloc.  int64 indices
+    peaked at 9.6 bytes per row."""
+    sample = 4_000_000
+    tracemalloc.start()
+    try:
+        report = verify_equivalence(P_III3, 5, sample=sample)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.graphs_checked == sample
+    assert peak < 4.4 * sample + 8 * 2**20
 
 
 def test_verify_stats_keys():
