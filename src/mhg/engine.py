@@ -19,11 +19,13 @@ plane.  The search then fills pair-major label columns, a blank pair's
 allowed labels being the AND of one label bitmask per partner vertex.  An
 exhaustive chunk is an aligned lattice block whose planes are built, not
 decoded (a grid per Engine for the low pairs, constant high pairs); a
-sampled chunk packs its decoded rows once.  F(p) is read once per Engine:
-its triangles fill forb3, and its longer cycles form a trie of words, walked
-by (n, n) products of adjacency planes shared across prefixes and by the
-lattice's seeding.  The module holds no per-graph code: `mhg complete` and
-`mhg graph check` run on Python-int bitsets in completion and graphs.
+sampled chunk packs its decoded rows once.  F(p) is read first, so its size
+guard refuses a tuple before any table: its triangles fill forb3, and its
+longer cycles form a trie of words, walked by (n, n) products of adjacency
+planes shared across prefixes and by the lattice's seeding.  allowed3 is
+triangle_violations on the label cube, opl the context's oplus_table padded
+with a blank row and column.  No per-graph code lives here: `mhg complete`
+and `mhg graph check` run on Python-int bitsets in completion and graphs.
 
 The scalar routines in completion, families and oracle stay the reference
 implementations; the verifier cross-checks sampled rows against them and
@@ -38,7 +40,7 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from .families import enumerate_forbidden
-from .graphs import EdgeLabelledGraph, triangle_ok
+from .graphs import EdgeLabelledGraph, triangle_violations
 from .magic import MagicContext
 
 _SLAB = 1 << 20  # bytes of one transposed slab in _close
@@ -86,11 +88,14 @@ class Engine:
             raise ValueError(f"need 3 to 64 vertices, not {n}")
         self.ctx = ctx
         self.p = ctx.params
+        # F(p) first: its size guard refuses a tuple before any table, and as
+        # NON_METRIC keeps walk_bound(p) >= delta, it accepts only delta <= 12.
+        forbidden = enumerate_forbidden(self.p)
         self.n = n
         self.base = self.p.delta + 1
         self.pairs: list[tuple[int, int]] = list(combinations(range(n), 2))
         self.P = len(self.pairs)
-        # pair[u, v] = pair[v, u] = the index of the pair {u, v}.
+        # pair[u, v] = pair[v, u] = the index of the pair {u, v}; 0 on the diagonal.
         self.pair = np.zeros((n, n), dtype=np.intp)
         self.pair[np.triu_indices(n, 1)] = self.pair.T[np.triu_indices(n, 1)] = np.arange(self.P)
         # partners[:, q, k] = the pairs (u, z), (v, z) for pair q = (u, v)
@@ -98,40 +103,29 @@ class Engine:
         third = [[z for z in range(n) if z not in pr] for pr in self.pairs]
         self.partners = self.pair[np.array(self.pairs).T[:, :, None], third]
         self._grids: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # block_planes' (grid, ones)
-        # adj[u, v] = pair[u, v] off the diagonal and P on it, the index of
-        # the all-zero plane that obstruction_batch appends.
-        self.adj = self.pair.copy()
-        np.fill_diagonal(self.adj, self.P)
         # Pair indices of each triangle come out sorted because the pair list
         # is lexicographic; the reshape in completable_lattice relies on that.
         i, j, k = np.array(list(combinations(range(n), 3))).T
         self.triangles = np.stack([self.pair[i, j], self.pair[i, k], self.pair[j, k]], axis=1)
         self.size = self.base**self.P
-        self.allowed3 = self._allowed_table()
+        # allowed3[a, b, c]: the triangle rule, True where a label is 0 (blank).
+        a, b, c = np.ix_(*[np.arange(self.base)] * 3)
+        bad = np.any([hit for _, hit in triangle_violations(self.p, a, b, c)], axis=0)
+        self.allowed3 = ~bad | (a * b * c == 0)
         # opl[x, y] = x (+) y, and 0 where either label is 0 (a blank pair).
-        self.opl = np.array([[ctx.oplus(x, y) if x and y else 0 for y in range(self.base)] for x in range(self.base)])
+        self.opl = np.pad(np.array(ctx.oplus_table()), (1, 0))
         # Each order of a 3-cycle is a rotation or reflection of it, so a
         # forbidden triangle sets all six orders of forb3.
-        forbidden = enumerate_forbidden(self.p)
+        tri = np.array([t for t in forbidden if len(t) == 3], dtype=np.intp).reshape(-1, 3)
         self.forb3 = np.zeros((self.base,) * 3, dtype=bool)
-        for t in forbidden:
-            if len(t) == 3:
-                for a, b, c in permutations(t):
-                    self.forb3[a, b, c] = True
+        for order in permutations(tri.T):
+            self.forb3[order] = True
         self.words = {w for w in forbidden if len(w) >= 4}
         # The trie over the words: the labels that extend each proper prefix.
         self.next_labels: dict[tuple[int, ...], set[int]] = {}
         for w in self.words:
             for k in range(len(w)):
                 self.next_labels.setdefault(w[:k], set()).add(w[k])
-
-    def _allowed_table(self) -> np.ndarray:
-        """allowed3[a, b, c]: triangle with those labels is allowed.  Entries
-        touching 0 stay True so incomplete triangles never constrain."""
-        arr = np.ones((self.base,) * 3, dtype=bool)
-        for a, b, c in product(range(1, self.base), repeat=3):
-            arr[a, b, c] = triangle_ok(self.p)(a, b, c)
-        return arr
 
     @cached_property
     def _label_masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -306,8 +300,10 @@ class Engine:
         bad = self._triangle_hits(planes, self.forb3)
         if not self.words:
             return bad
-        padded = np.concatenate([planes, np.zeros_like(planes[:1])])
-        A = {l: padded[self.adj, l] for l in {l for w in self.words for l in w}}
+        A = {l: planes[self.pair, l] for l in {l for w in self.words for l in w}}
+        diag = np.arange(self.n)
+        for plane in A.values():
+            plane[diag, diag] = 0
         stack = [((l,), A[l], iter(self.next_labels[l,])) for l in self.next_labels[()]]
         while stack:
             prefix, prod, labels = stack[-1]

@@ -41,7 +41,7 @@ _CHUNK_ROWS = 1 << 16
 # Search nodes per spot-checked graph; one that needs more is skipped.
 _SPOT_BUDGET = 2_000_000
 # Keys of EquivalenceReport.stats["seconds"].
-_LAYERS = ("search", "decode", "complete", "member", "obstruction", "spot_check")
+_LAYERS = ("tables", "search", "decode", "complete", "member", "obstruction", "spot_check")
 
 
 def has_completion(
@@ -173,8 +173,9 @@ def verify_equivalence(
         raise ValueError("seed must be non-negative")
     if sample is not None and sample < 1:
         raise ValueError("sample must be at least 1")
-    if sample is not None and sample * _SAMPLE_ROW_BYTES > 3 * _LATTICE_CAP:
-        raise BudgetExceededError(f"sample of {sample} rows needs over {3 * _LATTICE_CAP} bytes")
+    budget = 3 * _LATTICE_CAP // _SAMPLE_ROW_BYTES
+    if sample is not None and sample > budget:
+        raise BudgetExceededError(f"sample of {sample} rows is over the budget of {budget} rows")
     # The lattice grows with n, so n_max decides, before any Engine (whose
     # tables grow as n^3) or any smaller n is run.  base**64 is above any
     # cap, so base**P is never formed or printed.
@@ -213,7 +214,7 @@ def verify_equivalence(
         dst[b : b + new.size] = new
 
     for n in [n_max] if sample is not None else range(3, n_max + 1):
-        eng = Engine(ctx, n)
+        eng = timed("tables", Engine, ctx, n)
         if sample is None:
             # Row i is lattice point i, so the lattice is the search verdict.
             # A chunk is an aligned block of base**k points, the most that fit.

@@ -557,13 +557,20 @@ def test_oversized_obstruction_set_refused(triangle, command):
 
 
 def test_verify_large_delta_refused_before_engine_tables():
-    """Under (30,1,29,64,63) the n = 3 lattice passes the cap check, but F(p)
-    would test 1.2e17 label multisets: verify exits 2 with that message at
-    once, before any table sized by 2**(delta + 1) is built."""
-    proc = run_python(["-m", "mhg", "verify", "--n-max", "3", "--params", "30", "1", "29", "64", "63"], timeout=10)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stdout == ""
-    assert "label multisets; at most 4000000 are supported" in proc.stderr
+    """Under each tuple the n = 3 lattice passes the cap check, but F(p)
+    would test far more than 4,000,000 label multisets (1.2e17 under
+    (30,1,29,64,63)): verify exits 2 with that message at once, exhaustive or
+    sampled, before the (delta + 1)**3 label cube of any Engine table is built."""
+    for args in (
+        ["--params", "30", "1", "29", "64", "63"],
+        ["--params", "300", "300", "300", "902", "901"],
+        ["--params", "300", "300", "300", "902", "901", "--sample", "10"],
+        ["--params", "150", "150", "150", "452", "451"],
+    ):
+        proc = run_python(["-m", "mhg", "verify", "--n-max", "3", *args], timeout=10)
+        assert proc.returncode == 2, (args, proc.stderr)
+        assert proc.stdout == ""
+        assert "label multisets; at most 4000000 are supported" in proc.stderr, args
 
 
 def test_closed_stdout_pipe_is_quiet():

@@ -13,7 +13,7 @@ from mhg.cli import main
 from mhg.completion import magic_complete
 from mhg.engine import Engine, _close, plane_rows, unpack
 from mhg.families import enumerate_forbidden, find_witness, is_forbidden, walk_bound
-from mhg.graphs import EdgeLabelledGraph, is_member
+from mhg.graphs import EdgeLabelledGraph, is_member, triangle_ok
 from mhg.magic import default_context
 from mhg.oracle import BudgetExceededError, has_completion, verify_equivalence
 from mhg.params import ParameterSequence, enumerate_admissible
@@ -318,15 +318,24 @@ def test_completable_batch_matches_lattice_at_workload_size(t):
 
 
 def test_engine_forb3_matches_is_forbidden():
-    """forb3, filled from the triangles of enumerate_forbidden, against
-    is_forbidden on every label triple; label 0 (a blank pair) is never
-    forbidden."""
+    """The label tables against their scalar statements on every label triple
+    or pair: forb3, filled from the triangles of enumerate_forbidden, against
+    is_forbidden; allowed3 against triangle_ok; opl against ctx.oplus.  Label
+    0 (a blank pair) is never forbidden, always allowed, and has opl 0."""
     for p in [p for delta in range(3, 6) for p in enumerate_admissible(delta)]:
-        eng = Engine(default_context(p), 3)
-        want = np.zeros((eng.base,) * 3, dtype=bool)
+        ctx = default_context(p)
+        eng = Engine(ctx, 3)
+        forb, allowed = np.zeros((2,) + (eng.base,) * 3, dtype=bool)
+        allowed[0, :, :] = allowed[:, 0, :] = allowed[:, :, 0] = True
         for t in product(range(1, eng.base), repeat=3):
-            want[t] = is_forbidden(p, t)
-        assert np.array_equal(eng.forb3, want), p
+            forb[t] = is_forbidden(p, t)
+            allowed[t] = triangle_ok(p)(*t)
+        opl = np.zeros((eng.base,) * 2, dtype=int)
+        for x, y in product(range(1, eng.base), repeat=2):
+            opl[x, y] = ctx.oplus(x, y)
+        assert np.array_equal(eng.forb3, forb), p
+        assert np.array_equal(eng.allowed3, allowed), p
+        assert np.array_equal(eng.opl, opl), p
 
 
 # Every delta = 3 tuple at n = 4 and 5, and cases IIA, IIB (delta = 5) and
@@ -659,6 +668,7 @@ def test_verify_stats_keys():
         "verdict_bytes",
     }
     assert set(stats["seconds"]) == {
+        "tables",
         "search",
         "decode",
         "complete",
