@@ -11,10 +11,10 @@ byte-identical bytes.  As a program, a command whose stdout reader closes
 the platform has that signal.
 
 `graph check` and `complete` run on per-vertex label bitsets held as Python
-ints and refuse, with exit 2, a graph of more than graphs.MAX_BITSET_N
-(1,000) vertices.  `family witness` exits 2 once its search has made
-more than families.WITNESS_BUDGET (100,000,000) neighbour tests.  numpy is
-imported only by `verify`.
+ints and refuse, with exit 2, a graph of more than graphs.MAX_BITSET_N (1,000)
+vertices.  `family witness` exits 2 past families.WITNESS_BUDGET (100,000,000)
+neighbour tests, `family classify` past MAX_CYCLE_LABELS (4,000) labels.
+numpy is imported only by `verify`.
 """
 
 from __future__ import annotations
@@ -54,7 +54,13 @@ def _load_graph(path: str) -> EdgeLabelledGraph:
     return EdgeLabelledGraph.loads(text)
 
 
+# Most labels `family classify` takes, as canonical_cycle is quadratic in them.
+MAX_CYCLE_LABELS = 4_000
+
+
 def _parse_cycle(text: str) -> tuple[int, ...]:
+    if (count := text.count(",") + 1) > MAX_CYCLE_LABELS:
+        raise ValueError(f"a cycle of {count} labels is over the limit of {MAX_CYCLE_LABELS}")
     try:
         labels = tuple(int(t) for t in text.split(","))
     except ValueError:

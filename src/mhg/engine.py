@@ -16,7 +16,8 @@ bit per row, set where pair q has label l, so an AND or OR covers 8 rows per
 byte; membership, the obstruction scan and the search's triangle filter
 share one triangle kernel; each batch verdict comes back packed like a
 plane.  The search then fills pair-major label columns, a blank pair's
-allowed labels being the AND of one label bitmask per partner vertex.  An
+allowed labels being the AND of one label bitmask per partner vertex: an
+unsigned integer read off a 2-D table by two labels, so delta <= 63.  An
 exhaustive chunk is an aligned lattice block whose planes are built, not
 decoded (a grid per Engine for the low pairs, constant high pairs); a
 sampled chunk packs its decoded rows once.  F(p) is read first, so its size
@@ -128,16 +129,13 @@ class Engine:
                 self.next_labels.setdefault(w[:k], set()).add(w[k])
 
     @cached_property
-    def _label_masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The search's tables, built on its first call: mask[a * base + b]
-        has bit c set where allowed3[a, b, c], for labels c >= 1; over the
-        2**base masks m, bits[m, c] is bit c of m and least[m] its least set
-        bit, 0 where none is.  The uint8 index a * base + b wraps past base 16."""
-        if self.base > 16:
-            raise ValueError(f"the batch search needs delta <= 15, not {self.p.delta}")
-        mask = (self.allowed3[:, :, 1:] << np.arange(1, self.base)).sum(axis=-1).reshape(-1)
-        bits = (np.arange(2**self.base)[:, None] >> np.arange(self.base) & 1).astype(bool)
-        return mask.astype(np.min_scalar_type(2**self.base - 1)), bits, bits.argmax(axis=1).astype(np.uint8)
+    def _label_mask(self) -> np.ndarray:
+        """The search's table, built on its first call: mask[a, b] has bit c
+        set where allowed3[a, b, c], c >= 1, in the least uint for bit delta."""
+        if self.base > 64:
+            raise ValueError(f"the batch search needs delta <= 63, not {self.p.delta}")
+        dtype = np.min_scalar_type(2**self.base - 1)
+        return np.bitwise_or.reduce(self.allowed3[:, :, 1:] << np.arange(1, self.base, dtype=dtype), axis=-1)
 
     def decode(self, idx: np.ndarray) -> np.ndarray:
         """Lattice indices to label rows of shape (B, P), dtype uint8: the
@@ -179,18 +177,19 @@ class Engine:
         of member_batch.  A greedy pass fills each blank pair, in
         lexicographic order, with the least label that allowed3 accepts
         against every triangle through it whose other two pairs are labelled
-        or filled: the least set bit of the AND of the masks of its partner
-        pairs' labels.  A row it fills completely is completable, its filling
-        the certificate.  Rows where it gets stuck go to an exact breadth-first
-        frontier, which expands each blank pair by every set bit and retires a
-        row as soon as one of its children has no blanks left."""
-        mask, bits, least = self._label_masks
+        or filled: the least set bit of the AND m of its partner pairs' masks,
+        counted by the ones of (m & -m) - 1.  A row it fills completely is
+        completable, its filling the certificate.  Rows where it gets stuck
+        (m == 0) go to an exact breadth-first frontier, which expands each
+        blank pair by every set bit and retires a row as soon as one of its
+        children has no blanks left."""
+        mask = self._label_mask
 
         def labels_at(X: np.ndarray, q: int, sel: np.ndarray) -> np.ndarray:
             """Bitmask of the labels allowed at pair q, per column sel picks:
             one flat take of X gathers only the partner rows."""
             a, b = X.take(self.partners[:, q, :, None] * X.shape[1] + sel)
-            return np.bitwise_and.reduce(mask[a * self.base + b], axis=0)
+            return np.bitwise_and.reduce(mask[a, b], axis=0)
 
         cols = rows.T
         out = ~unpack(self._triangle_hits(planes, ~self.allowed3), len(rows))
@@ -198,13 +197,14 @@ class Engine:
         X = cols.take(live, axis=1)
         for q in range(self.P):
             blank = np.flatnonzero(X[q] == 0)
-            X[q, blank] = least[labels_at(X, q, blank)]
+            m = labels_at(X, q, blank)
+            X[q, blank] = np.where(m != 0, np.bitwise_count((m & -m) - 1), 0)
         stuck = live[~X.all(axis=0)]
         F, owner = cols.take(stuck, axis=1), np.arange(stuck.size)
         done = np.zeros(stuck.size, dtype=bool)
         for q in range(self.P):
             blank = np.flatnonzero(F[q] == 0)
-            parent, label = np.nonzero(bits[labels_at(F, q, blank)])
+            parent, label = np.nonzero(labels_at(F, q, blank)[:, None] >> np.arange(self.base, dtype=mask.dtype) & 1)
             # The columns labelled at q, then one copy of a blank column per child.
             keep = np.concatenate([np.flatnonzero(F[q]), blank[parent]])
             F, owner = F.take(keep, axis=1), owner[keep]

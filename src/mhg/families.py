@@ -114,11 +114,6 @@ def _inequalities(
         yield FamilyTag.C0_CYCLE, 1, 3, p.c0 - 1
 
 
-def _is_special(p: ParameterSequence, desc: Cycle) -> bool:
-    """The special pentagon test, on the labels in descending order."""
-    return p.delta == 5 and desc == SPECIAL_PENTAGON
-
-
 def _holding_tags(p: ParameterSequence, labels: Cycle) -> set[FamilyTag]:
     """Every family, active for p or not, that the label multiset belongs
     to.  The best choice of size distinguished labels is the size largest,
@@ -131,7 +126,7 @@ def _holding_tags(p: ParameterSequence, labels: Cycle) -> set[FamilyTag]:
         for tag, _, size, bound in _inequalities(p, total, len(desc), 2 * desc[0] <= total)
         if 2 * pre[size] - total > bound
     }
-    if _is_special(p, desc):
+    if p.delta == 5 and desc == SPECIAL_PENTAGON:
         held.add(FamilyTag.SPECIAL_5)
     return held
 
@@ -184,6 +179,9 @@ def classify_cycle(p: ParameterSequence, cycle: Cycle) -> list[FamilyWitness]:
         raise ValueError("a cycle has at least 3 edges")
     if max(cycle) > p.delta:
         raise ValueError(f"cycle labels exceed delta={p.delta}")
+    held = _holding_tags(p, cycle)
+    if not held:  # where no family holds, no decomposition qualifies
+        return []
     canon = canonical_cycle(cycle)
     desc = tuple(sorted(cycle, reverse=True))
     total = sum(desc)
@@ -194,7 +192,7 @@ def classify_cycle(p: ParameterSequence, cycle: Cycle) -> list[FamilyWitness]:
         for d in subsets.get(size, ())
         if 2 * sum(d) - total > bound
     ]
-    if _is_special(p, desc):
+    if FamilyTag.SPECIAL_5 in held:
         out.append(FamilyWitness(canon, FamilyTag.SPECIAL_5, 2, SPECIAL_PENTAGON, ()))
     return sorted(out, key=lambda w: (w.tag.value, w.n, w.d_edges))
 

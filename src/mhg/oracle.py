@@ -163,8 +163,8 @@ def verify_equivalence(
     packed before the next is built, and a chunk an aligned lattice block;
     in sampled mode the batch search and obstruction scan answer for the
     rows each chunk decodes.  Per n each verdict is kept as packed bits,
-    padding bits 0, and mismatches are counted per chunk by XOR and
-    popcount.  numpy draws the sampled rows and random.Random(seed) the
+    padding bits 0, whose XOR and popcount count the mismatches after the
+    chunks.  numpy draws the sampled rows and random.Random(seed) the
     spot-checked ones, so an exhaustive run never loads numpy.random.
     """
     if n_max < 3:
@@ -233,8 +233,6 @@ def verify_equivalence(
             orc, wit_free = np.zeros((2, -(-total // 8)), dtype=np.uint8)
         magic_ok = np.zeros_like(orc)
         verdict_bytes = max(verdict_bytes, 3 * orc.size)
-        # The first _EXAMPLE_CAP mismatch positions per route.
-        first: dict[str, list[int]] = {"witness": [], "magic": []}
 
         def rows_at(pos):
             return eng.decode(pos if idx is None else idx[pos])
@@ -262,23 +260,20 @@ def verify_equivalence(
                         "pairs": [list(eng.pairs[q]) for q in np.flatnonzero(unpack(fb, hi - lo)[:, i])],
                     }
                 )
-            # The bytes this chunk completed: one shared with the next is compared there.
-            b0, b1 = lo // 8, orc.size if hi == total else hi // 8
-            for kind, verdict in (("witness", wit_free), ("magic", magic_ok)):
-                diff = orc[b0:b1] ^ verdict[b0:b1]
-                count = int(np.bitwise_count(diff).sum())
-                mismatches[kind] += count
-                if count and len(first[kind]) < _EXAMPLE_CAP:
-                    at = np.flatnonzero(unpack(diff, 8 * diff.size))[: _EXAMPLE_CAP - len(first[kind])]
-                    first[kind] += (at + 8 * b0).tolist()
         checked += total
         completable_rows += int(np.bitwise_count(orc).sum())
         verdicts = (orc, wit_free, magic_ok)
 
         timed("spot_check", _spot_check, eng, rows_at, total, verdicts, spot_rng, spot)
 
-        for kind, at in first.items():
-            shown = np.array(at[: max(0, _EXAMPLE_CAP - len(examples))], dtype=np.int64)
+        for kind, verdict in (("witness", wit_free), ("magic", magic_ok)):
+            diff = orc ^ verdict
+            mismatches[kind] += int(np.bitwise_count(diff).sum())
+            # Each nonzero byte holds a mismatch, so the first cap bytes hold the first cap.
+            cap = _EXAMPLE_CAP - len(examples)
+            at = np.flatnonzero(diff)[:cap]
+            byte, bit = np.nonzero(unpack(diff[at, None], 8))
+            shown = (8 * at[byte] + bit)[:cap]
             for i, row in zip(shown, rows_at(shown)):
                 examples.append(_confirmed(eng, row, kind, *(_bit(v, i) for v in verdicts)))
 

@@ -150,10 +150,17 @@ def test_classify_c1_example():
         check_witness(P_IIB, w)
 
 
-def test_classify_clean_cycle_empty():
+def test_classify_clean_cycle_empty(monkeypatch):
+    """A cycle under which no family holds has no decomposition, so
+    classify_cycle answers before building any sub-multiset: 50,000 labels
+    of 1 would have 50,001, about 1.25e9 tuple slots."""
     assert classify_cycle(P_IIB, (3, 3, 3)) == []
     with pytest.raises(ValueError):
         classify_cycle(P_IIB, (3, 3))
+    monkeypatch.setattr(families, "_distinct_subsets", None)
+    assert classify_cycle(P_IIB, (3, 3, 3)) == []
+    assert classify_cycle(P_IIB, (1,) * 50_000) == []
+    assert classify_cycle(P_IIB, (1, 2) * 20_000) == []
 
 
 def test_classify_rejects_label_above_delta():
@@ -205,6 +212,29 @@ def test_classify_long_cycle_is_fast(cycle):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == f"cycle {labels}  forbidden: no"
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]], ids=["text", "json"])
+def test_classify_cycle_length_bound(extra):
+    """`family classify` takes up to MAX_CYCLE_LABELS labels, as
+    canonical_cycle is quadratic: at the bound an all-1 and an alternating
+    1,2 cycle classify as clean in a fresh process, and one label more
+    exits 2 before any per-label work."""
+    bound = cli.MAX_CYCLE_LABELS
+    for labels in (["1"] * bound, (["1", "2"] * bound)[:bound], ["1"] * (bound + 1)):
+        proc = run_python(
+            ["-m", "mhg", "family", "classify", "--params", *map(str, P_IIB.as_tuple()), "--cycle", ",".join(labels), *extra],
+            timeout=20,
+        )
+        if len(labels) > bound:
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert f"a cycle of {bound + 1} labels is over the limit of {bound}" in proc.stderr
+        else:
+            assert proc.returncode == 0, proc.stderr
+            if extra:
+                assert json.loads(proc.stdout)["forbidden"] is False
+            else:
+                assert proc.stdout.strip().endswith("forbidden: no")
 
 
 def test_classify_many_distinct_labels_refused():

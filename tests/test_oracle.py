@@ -611,17 +611,26 @@ def test_numpy_random_loads_only_for_sampled_rows():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_label_masks_refuse_delta_above_15(monkeypatch):
-    """The search's uint8 table index a * base + b holds base 16 and wraps
-    at base 17.  F(p) refuses delta >= 10 on its own, so it is stubbed
-    empty to build an Engine at delta = 16; at delta = 15 the batch search
-    still equals the lattice on every n = 3 point."""
+def test_label_mask_refuses_delta_above_63(monkeypatch):
+    """The search's label masks hold bits 1..delta in the least unsigned
+    dtype that fits, so uint64 holds delta = 63 and delta = 64 is refused
+    before any table is built.  F(p) accepts only delta <= 12 on its own, so
+    it is stubbed empty to build Engines past it; the tuples are built
+    directly, as enumerate_admissible(delta) costs delta**4.  At delta = 16,
+    whose masks need uint32, the batch search equals the lattice on every
+    n = 3 point; at delta = 63 it does on a seeded sample of them."""
     monkeypatch.setattr(engine, "enumerate_forbidden", lambda p: [])
-    eng = Engine(default_context(enumerate_admissible(16)[0]), 3)
-    with pytest.raises(ValueError, match="delta <= 15"):
+    eng = Engine(default_context(ParameterSequence(64, 64, 64, 194, 193)), 3)
+    with pytest.raises(ValueError, match="delta <= 63"):
         search_bits(eng, eng.decode(np.arange(4)))
-    eng = Engine(default_context(enumerate_admissible(15)[0]), 3)
+    assert "_label_mask" not in vars(eng)
+    eng = Engine(default_context(ParameterSequence(16, 16, 16, 50, 49)), 3)
     assert np.array_equal(search_bits(eng, eng.decode(np.arange(eng.size))), eng.completable_lattice())
+    assert eng._label_mask.dtype == np.uint32
+    eng = Engine(default_context(ParameterSequence(63, 63, 63, 190, 191)), 3)
+    at = np.random.default_rng(63).integers(0, eng.size, size=20_000)
+    assert np.array_equal(search_bits(eng, eng.decode(at)), eng.completable_lattice()[at])
+    assert eng._label_mask.dtype == np.uint64
 
 
 def test_verify_exhaustive_peak_memory():
@@ -787,24 +796,31 @@ def test_engine_disagreement_is_internal_error(monkeypatch, capsys, case):
 def test_verify_reports_confirmed_mismatches(monkeypatch, capsys):
     """Engine and scalar membership both call every completion a non-member,
     so the magic route disagrees with the search route on exactly the
-    completable rows, and every example survives the scalar re-check."""
+    completable rows, and every example survives the scalar re-check.  The
+    examples are the first 20 completable rows, smallest n first: under
+    delta = 4 to n = 3 all 20 come from a lattice of 125 points, whose
+    packed verdicts fill only 16 bytes."""
     monkeypatch.setattr(Engine, "member_batch", lambda self, planes: np.zeros(planes.shape[-1], dtype=np.uint8))
     monkeypatch.setattr(oracle, "is_member", lambda p, g: False)
-    report = verify_equivalence(P_III3, 4)
-    ctx = default_context(P_III3)
-    completable = sum(int(Engine(ctx, n).completable_lattice().sum()) for n in (3, 4))
-    assert not report.ok
-    assert report.witness_mismatch_count == 0
-    assert report.magic_mismatch_count == completable > 20
-    assert len(report.mismatch_examples) == 20
-    for ex in report.mismatch_examples:
-        assert ex["kind"] == "magic"
-        verdicts = (ex["search_completable"], ex["witness_free"], ex["magic_success"])
-        assert verdicts == (True, True, False)
-        assert has_completion(P_III3, EdgeLabelledGraph.from_json_obj(ex["graph"]))
-    assert report.to_json_obj()["ok"] is False
-    assert main(["verify", "--params", "3", "1", "3", "10", "9", "--n-max", "4"]) == 1
-    assert capsys.readouterr().out.strip().endswith("MISMATCH")
+    for p, n_max in ((P_III3, 4), (P_DELTA4, 3)):
+        report = verify_equivalence(p, n_max)
+        engines = [Engine(default_context(p), n) for n in range(3, n_max + 1)]
+        first = []
+        for eng in engines:
+            at = np.flatnonzero(eng.completable_lattice())[: 20 - len(first)]
+            first += [eng.row_to_graph(row).to_json_obj() for row in eng.decode(at)]
+        assert not report.ok
+        assert report.witness_mismatch_count == 0
+        assert report.magic_mismatch_count == sum(int(eng.completable_lattice().sum()) for eng in engines) > 20
+        assert [ex["graph"] for ex in report.mismatch_examples] == first and len(first) == 20
+        for ex in report.mismatch_examples:
+            assert ex["kind"] == "magic"
+            verdicts = (ex["search_completable"], ex["witness_free"], ex["magic_success"])
+            assert verdicts == (True, True, False)
+            assert has_completion(p, EdgeLabelledGraph.from_json_obj(ex["graph"]))
+        assert report.to_json_obj()["ok"] is False
+        assert main(["verify", "--params", *map(str, p.as_tuple()), "--n-max", str(n_max)]) == 1
+        assert capsys.readouterr().out.strip().endswith("MISMATCH")
 
 
 def test_verify_refuses_lattice_above_cap(monkeypatch, capsys):
@@ -823,8 +839,9 @@ def test_verify_refuses_lattice_above_cap(monkeypatch, capsys):
 
 
 def test_verify_refuses_sample_above_memory_budget(monkeypatch):
-    """8 index bytes and 3 verdict bytes per sampled row must fit in the 3
-    bytes per point that the lattice cap allows an exhaustive run."""
+    """A sampled row holds 4 index bytes and 3 verdict bits, budgeted at
+    _SAMPLE_ROW_BYTES = 11 bytes, which must fit in the 3 bytes per point
+    that the lattice cap allows an exhaustive run."""
     monkeypatch.setattr(oracle, "_LATTICE_CAP", 1100)  # 3,300 bytes: 300 rows
     assert verify_equivalence(P_III3, 3, sample=300, seed=1).graphs_checked == 300
     with pytest.raises(BudgetExceededError, match="sample of 301 rows"):
