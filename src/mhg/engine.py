@@ -6,27 +6,27 @@ Exhaustive verification reads two routes off whole-lattice transforms, each
 closed along every axis by _close, the low axes in transposed slabs of about
 1 MiB: completable_lattice closes downward from the complete rows whose
 triangles are all allowed, seeded on the delta**P complete points alone,
-obstruction_lattice upward from the forbidden triangles and the closed walks
-tracing the longer words of F(p).  Beyond the lattice, a build holds the
-seed's (delta / base)**P bytes per point, then one slab.  Sampled verification
-builds no lattice: completable_batch (a greedy filling, then an exact
-breadth-first frontier) and obstruction_batch answer for the drawn rows.  The
-batch routes read bit planes (after Biham, FSE 1997): plane [q, l] holds one
-bit per row, set where pair q has label l, so an AND or OR covers 8 rows per
-byte; membership, the obstruction scan and the search's triangle filter
-share one triangle kernel; each batch verdict comes back packed like a
-plane.  The search then fills pair-major label columns, a blank pair's
-allowed labels being the AND of one label bitmask per partner vertex: an
-unsigned integer read off a 2-D table by two labels, so delta <= 63.  An
-exhaustive chunk is an aligned lattice block whose planes are built, not
-decoded (a grid per Engine for the low pairs, constant high pairs); a
-sampled chunk packs its decoded rows once.  F(p) is read first, so its size
-guard refuses a tuple before any table: its triangles fill forb3, and its
-longer cycles form a trie of words, walked by (n, n) products of adjacency
-planes shared across prefixes and by the lattice's seeding.  allowed3 is
-triangle_violations on the label cube, opl the context's oplus_table padded
-with a blank row and column.  No per-graph code lives here: `mhg complete`
-and `mhg graph check` run on Python-int bitsets in completion and graphs.
+obstruction_lattice upward from the closed walks tracing the words of F(p).
+Beyond the lattice, a build holds the seed's (delta / base)**P bytes per
+point, then one slab.  Sampled verification builds no lattice:
+completable_batch (a greedy filling, then an exact breadth-first frontier)
+and obstruction_batch answer for the drawn rows.  The batch routes read bit
+planes (after Biham, FSE 1997): plane [q, l] holds one bit per row, set
+where pair q has label l, so an AND or OR covers 8 rows per byte; membership
+and the search's triangle filter share one triangle kernel; each batch
+verdict comes back packed like a plane.  The search then fills pair-major
+label columns, a blank pair's allowed labels being the AND of one label
+bitmask per partner vertex: an unsigned integer read off a 2-D table by two
+labels, so delta <= 63.  An exhaustive chunk is an aligned lattice block
+whose planes are built, not decoded (a grid per Engine for the low pairs,
+constant high pairs); a sampled chunk packs its decoded rows once.  F(p) is
+read first, so its size guard refuses a tuple before any table: its cycles,
+triangles included, form a trie of words, walked by (n, n) products of
+adjacency planes shared across prefixes and by the lattice's seeding.
+allowed3 is triangle_violations on the label cube, opl the context's
+oplus_table padded with a blank row and column.  No per-graph code lives
+here: `mhg complete` and `mhg graph check` run on Python-int bitsets in
+completion and graphs.
 
 The scalar routines in completion, families and oracle stay the reference
 implementations; the verifier cross-checks sampled rows against them and
@@ -36,7 +36,7 @@ treats any disagreement as an internal error rather than a finding.
 from __future__ import annotations
 
 from functools import cache, cached_property
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -91,7 +91,8 @@ class Engine:
         self.p = ctx.params
         # F(p) first: its size guard refuses a tuple before any table, and as
         # NON_METRIC keeps walk_bound(p) >= delta, it accepts only delta <= 12.
-        forbidden = enumerate_forbidden(self.p)
+        # Its non-metric triangles, (1, 1, 3) among them, keep the trie nonempty.
+        self.words = set(enumerate_forbidden(self.p))
         self.n = n
         self.base = self.p.delta + 1
         self.pairs: list[tuple[int, int]] = list(combinations(range(n), 2))
@@ -115,13 +116,6 @@ class Engine:
         self.allowed3 = ~bad | (a * b * c == 0)
         # opl[x, y] = x (+) y, and 0 where either label is 0 (a blank pair).
         self.opl = np.pad(np.array(ctx.oplus_table()), (1, 0))
-        # Each order of a 3-cycle is a rotation or reflection of it, so a
-        # forbidden triangle sets all six orders of forb3.
-        tri = np.array([t for t in forbidden if len(t) == 3], dtype=np.intp).reshape(-1, 3)
-        self.forb3 = np.zeros((self.base,) * 3, dtype=bool)
-        for order in permutations(tri.T):
-            self.forb3[order] = True
-        self.words = {w for w in forbidden if len(w) >= 4}
         # The trie over the words: the labels that extend each proper prefix.
         self.next_labels: dict[tuple[int, ...], set[int]] = {}
         for w in self.words:
@@ -192,7 +186,7 @@ class Engine:
             return np.bitwise_and.reduce(mask[a, b], axis=0)
 
         cols = rows.T
-        out = ~unpack(self._triangle_hits(planes, ~self.allowed3), len(rows))
+        out = ~unpack(self._triangle_hits(planes), len(rows))
         live = np.flatnonzero(out)
         X = cols.take(live, axis=1)
         for q in range(self.P):
@@ -266,15 +260,15 @@ class Engine:
         E[:, 0] = 0
         return E, fallback
 
-    def _triangle_hits(self, planes: np.ndarray, table: np.ndarray) -> np.ndarray:
+    def _triangle_hits(self, planes: np.ndarray) -> np.ndarray:
         """Packed bits, padding bits 0: the rows where some triangle (q1, q2,
-        q3) has E[q1, x] & E[q2, y] & OR{E[q3, z] : table[x, y, z]}."""
+        q3) has E[q1, x] & E[q2, y] & OR{E[q3, z] : not allowed3[x, y, z]}."""
         t1, t2, t3 = self.triangles.T
         hits = np.zeros(planes.shape[-1], dtype=np.uint8)
         # The groups share few z sets, so each distinct set's union is built once.
         union = cache(lambda zs: np.bitwise_or.reduce(planes[:, zs], axis=1))
         for x, y in product(range(self.base), repeat=2):
-            zs = tuple(np.flatnonzero(table[x, y]).tolist())
+            zs = tuple(np.flatnonzero(~self.allowed3[x, y]).tolist())
             if zs:
                 hits |= np.bitwise_or.reduce(planes[t1, x] & planes[t2, y] & union(zs)[t3], axis=0)
         return hits
@@ -284,22 +278,20 @@ class Engine:
         plane, padding bits 0: a row is a member unless some triangle's
         labels are not allowed3."""
         # Pair 0 holds one label per row, so its planes' union marks the rows.
-        return np.bitwise_or.reduce(planes[0], axis=0) & ~self._triangle_hits(planes, ~self.allowed3)
+        return np.bitwise_or.reduce(planes[0], axis=0) & ~self._triangle_hits(planes)
 
     def obstruction_batch(self, planes: np.ndarray) -> np.ndarray:
-        """Packed bits, padding bits 0: the rows holding a forbidden triangle
-        or a closed walk tracing a longer word of F(p).  A[l][u, v] is the
-        plane of label l at pair {u, v}, zero on the diagonal; the product
-        out[u, z] = OR_v prod[u, v] & A[l][v, z] marks walks u -> z tracing
-        the prefix (after Arlazarov, Dinic, Kronrod and Faradzev), closed
-        where prod & A[l] is set, as A is symmetric; rotating or reversing a
-        word keeps its walks, so one canonical word per cycle suffices.  The
-        trie is walked depth-first, the stack holding the roots and the
-        current path, so prefixes share products (after Aho and Corasick);
-        a zero product is not extended."""
-        bad = self._triangle_hits(planes, self.forb3)
-        if not self.words:
-            return bad
+        """Packed bits, padding bits 0: the rows holding a closed walk that
+        traces a word of F(p).  A[l][u, v] is the plane of label l at pair
+        {u, v}, zero on the diagonal, so a closed walk of 3 edges is a
+        triangle; the product out[u, z] = OR_v prod[u, v] & A[l][v, z] marks
+        walks u -> z tracing the prefix (after Arlazarov, Dinic, Kronrod and
+        Faradzev), closed where prod & A[l] is set, as A is symmetric;
+        rotating or reversing a word keeps its walks, so one canonical word
+        per cycle suffices.  The trie is walked depth-first, the stack
+        holding the roots and the current path, so prefixes share products
+        (after Aho and Corasick); a zero product is not extended."""
+        bad = np.zeros(planes.shape[-1], dtype=np.uint8)
         A = {l: planes[self.pair, l] for l in {l for w in self.words for l in w}}
         diag = np.arange(self.n)
         for plane in A.values():
@@ -325,16 +317,14 @@ class Engine:
     def obstruction_lattice(self) -> np.ndarray:
         """obstruction_batch at every lattice point, as a flat boolean array.
         Adding labels only adds images of F(p), so the obstructed points are
-        the upward closure of seeds: the forbidden triangles, and the closed
-        walks tracing a word with only their own pairs labelled.  Walks grow
-        along the trie as (start, current vertex, lattice index) sets; a step
-        keeps a walk where the pair is blank, labelling it, or carries the
-        letter.  _close then ORs each axis's blank slice into its labelled ones."""
+        the upward closure of seeds: the closed walks tracing a word with
+        only their own pairs labelled.  Walks grow along the trie as (start,
+        current vertex, lattice index) sets; a step moves to another vertex,
+        so a closed walk of 3 steps is a triangle, and keeps a walk where the
+        pair is blank, labelling it, or carries the letter.  _close then ORs
+        each axis's blank slice into its labelled ones."""
         n, pw = self.n, self.base ** np.arange(self.P - 1, -1, -1, dtype=np.int64)
         O = np.zeros(self.size, dtype=bool)
-        a, b, c = np.nonzero(self.forb3)
-        for q1, q2, q3 in self.triangles.tolist():
-            O[a * pw[q1] + b * pw[q2] + c * pw[q3]] = True
 
         def step(idx, cur, z, l):
             """Indices after the step cur -> z labelled l, and which walks survive it."""
@@ -342,7 +332,7 @@ class Engine:
             return idx + (digit == 0) * (l * pw[self.pair[cur, z]]), (cur != z) & ((digit == 0) | (digit == l))
 
         verts = np.arange(n)
-        stack = [((), verts, verts, np.zeros(n, dtype=np.int64))] if self.words else []
+        stack = [((), verts, verts, np.zeros(n, dtype=np.int64))]
         while stack:
             prefix, start, cur, idx = stack.pop()
             for l in self.next_labels[prefix]:

@@ -139,18 +139,20 @@ def is_forbidden(p: ParameterSequence, cycle: Cycle) -> bool:
     return not _holding_tags(p, cycle).isdisjoint(active_tags(p))
 
 
-# Most sub-multisets _distinct_subsets builds; F(p) members with delta <= 9 have 13,122 at most.
-MAX_SUBSETS = 1_000_000
+# Most tuple slots _distinct_subsets fills (about 100 MiB); the sub-multisets
+# of an F(p) member with delta <= 10 fill 111,537 at most.
+MAX_SUBSET_SLOTS = 10_000_000
 
 
 def _distinct_subsets(desc: Cycle) -> dict[int, list[Cycle]]:
     """The distinct sub-multisets of the descending labels, by size, as
     descending tuples.  They are built from the label counts, so the work
     follows their number, not the number of position sets.  ValueError,
-    before any work, when there are more than MAX_SUBSETS."""
+    before any work, when their sizes sum to more than MAX_SUBSET_SLOTS:
+    each label is in half of them, so the sum is prod(c + 1) * len / 2."""
     counts = Counter(desc)  # first-seen order, which is descending here
-    if (total := prod(c + 1 for c in counts.values())) > MAX_SUBSETS:
-        raise ValueError(f"the labels have {total} distinct sub-multisets; at most {MAX_SUBSETS} are supported")
+    if (slots := prod(c + 1 for c in counts.values()) * len(desc) // 2) > MAX_SUBSET_SLOTS:
+        raise ValueError(f"the sub-multisets fill {slots} tuple slots; at most {MAX_SUBSET_SLOTS} are supported")
     subsets = [()]
     for label, count in counts.items():
         subsets = [s + (label,) * t for s in subsets for t in range(count + 1)]

@@ -238,29 +238,37 @@ def test_classify_cycle_length_bound(extra):
 
 
 def test_classify_many_distinct_labels_refused():
-    """Thirty distinct labels have 2^30 sub-multisets, about 160 GiB of
-    tuples: classify exits 2 naming the count before building any, and a
-    cycle under MAX_SUBSETS still classifies.  No F(p) member with
-    delta <= 9 comes near the cap: it has at most walk_bound(p) <= 17
-    labels, and the sub-multiset count of b labels over delta values is
-    largest with the counts spread evenly."""
+    """Thirty distinct labels have 2^30 sub-multisets, 15 * 2^30 tuple
+    slots: classify exits 2 naming the slots before building any, and a
+    cycle under MAX_SUBSET_SLOTS still classifies.  999 ones and 999 twos
+    under a tuple where K1 holds exit 2 too: only 10^6 sub-multisets, but
+    about 10^9 slots; 201 ones and 199 twos (8.08 million) classify.  No
+    F(p) member whose multisets _forbidden_multisets admits comes near the
+    cap, delta <= 10: it has at most walk_bound(p) labels, and prod(c + 1)
+    over b labels and delta values is largest with the counts spread evenly."""
     wide = ParameterSequence(300, 300, 300, 902, 901)
-    labels = ",".join(map(str, range(1, 31)))
-    proc = run_python(
-        ["-m", "mhg", "family", "classify", "--params", *map(str, wide.as_tuple()), "--cycle", labels],
-        timeout=20,
-    )
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stdout == ""
-    assert f"have {2**30} distinct sub-multisets; at most {families.MAX_SUBSETS} are supported" in proc.stderr
+    cases = [
+        (wide, range(1, 31), 15 * 2**30),
+        (ParameterSequence(1500, 1500, 1500, 4502, 4501), [1, 2] * 999, 999 * 10**6),
+    ]
+    for p, labels, slots in cases:
+        cycle = ",".join(map(str, labels))
+        proc = run_python(
+            ["-m", "mhg", "family", "classify", "--params", *map(str, p.as_tuple()), "--cycle", cycle], timeout=20
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert f"fill {slots} tuple slots; at most {families.MAX_SUBSET_SLOTS} are supported" in proc.stderr
     assert [w.d_edges for w in classify_cycle(wide, (*range(1, 13), 300))] == [(300,)]
+    assert [w.tag for w in classify_cycle(wide, (1,) * 201 + (2,) * 199)] == [FamilyTag.K1_CYCLE]
     worst = 0
-    for delta in range(3, 10):
+    for delta in range(3, 11):
         for p in enumerate_admissible(delta):
-            q, r = divmod(walk_bound(p), delta)
-            assert q * delta + r <= 17, p.as_tuple()
-            worst = max(worst, (q + 2) ** r * (q + 1) ** (delta - r))
-    assert worst == 13_122 < families.MAX_SUBSETS
+            b = walk_bound(p)
+            if sum(math.comb(delta + k - 1, k) for k in range(3, b + 1)) <= families.MAX_MULTISETS:
+                q, r = divmod(b, delta)
+                worst = max(worst, (q + 2) ** r * (q + 1) ** (delta - r) * b // 2)
+    assert worst == 111_537 < families.MAX_SUBSET_SLOTS
 
 
 def test_is_forbidden_matches_decompositions():

@@ -13,7 +13,7 @@ from mhg.cli import main
 from mhg.completion import magic_complete
 from mhg.engine import Engine, _close, plane_rows, unpack
 from mhg.families import enumerate_forbidden, find_witness, is_forbidden, walk_bound
-from mhg.graphs import EdgeLabelledGraph, is_member, triangle_ok
+from mhg.graphs import EdgeLabelledGraph, canonical_cycle, is_member, triangle_ok
 from mhg.magic import default_context
 from mhg.oracle import BudgetExceededError, has_completion, verify_equivalence
 from mhg.params import ParameterSequence, enumerate_admissible
@@ -317,23 +317,23 @@ def test_completable_batch_matches_lattice_at_workload_size(t):
     assert bits.size == -(-k // 8) and bits[-1] >> (k % 8) == 0
 
 
-def test_engine_forb3_matches_is_forbidden():
-    """The label tables against their scalar statements on every label triple
-    or pair: forb3, filled from the triangles of enumerate_forbidden, against
-    is_forbidden; allowed3 against triangle_ok; opl against ctx.oplus.  Label
-    0 (a blank pair) is never forbidden, always allowed, and has opl 0."""
+def test_engine_tables_match_scalar_rules():
+    """The engine's tables against their scalar statements on every label
+    triple or pair: the trie's words of 3 labels are the canonical forms of
+    the triples is_forbidden accepts; allowed3 against triangle_ok; opl
+    against ctx.oplus.  Label 0 (a blank pair) is always allowed and has
+    opl 0."""
     for p in [p for delta in range(3, 6) for p in enumerate_admissible(delta)]:
         ctx = default_context(p)
         eng = Engine(ctx, 3)
-        forb, allowed = np.zeros((2,) + (eng.base,) * 3, dtype=bool)
-        allowed[0, :, :] = allowed[:, 0, :] = allowed[:, :, 0] = True
+        allowed = np.ones((eng.base,) * 3, dtype=bool)
         for t in product(range(1, eng.base), repeat=3):
-            forb[t] = is_forbidden(p, t)
             allowed[t] = triangle_ok(p)(*t)
+        forb = {canonical_cycle(t) for t in product(range(1, eng.base), repeat=3) if is_forbidden(p, t)}
         opl = np.zeros((eng.base,) * 2, dtype=int)
         for x, y in product(range(1, eng.base), repeat=2):
             opl[x, y] = ctx.oplus(x, y)
-        assert np.array_equal(eng.forb3, forb), p
+        assert forb and {w for w in eng.words if len(w) == 3} == forb, p
         assert np.array_equal(eng.allowed3, allowed), p
         assert np.array_equal(eng.opl, opl), p
 
@@ -397,8 +397,8 @@ def test_obstruction_batch_matches_find_witness_triangle_free(t, n):
     rng = np.random.default_rng(n * 1000 + sum(t))
     k = 2000
     rows = (rng.integers(1, eng.base, size=(k, eng.P)) * (rng.random((k, eng.P)) >= 0.6)).astype(np.uint8)
-    q1, q2, q3 = eng.triangles.T
-    rows = rows[~eng.forb3[rows[:, q1], rows[:, q2], rows[:, q3]].any(axis=1)][:200]
+    forb = {c for c in product(range(1, eng.base), repeat=3) if is_forbidden(p, c)}
+    rows = rows[[forb.isdisjoint(map(tuple, row[eng.triangles].tolist())) for row in rows]][:200]
     assert len(rows) == 200
     obstructed = obstruction_bits(eng, rows)
     want = [find_witness(p, eng.row_to_graph(row)) is not None for row in rows]
@@ -409,16 +409,22 @@ def test_obstruction_batch_matches_find_witness_triangle_free(t, n):
 def test_word_scan_top_bit_at_64_vertices():
     """At n = 64, vertex 63 is the last row and column of the adjacency
     planes: the all-5 pentagon through it is found, and a path of four
-    5-edges is not.  Past 64 vertices the engine refuses."""
+    5-edges is not; so is the forbidden triangle (1, 1, 3) on vertices 61,
+    62 and 63, and not its path with (61, 63) blank.  Past 64 vertices the
+    engine refuses."""
     ctx = default_context(P_IIB)
     eng = Engine(ctx, 64)
     cycle = [59, 60, 61, 62, 63]
-    rows = np.zeros((2, eng.P), dtype=np.uint8)
+    rows = np.zeros((4, eng.P), dtype=np.uint8)
     for i in range(5):
         rows[0, eng.pairs.index(tuple(sorted((cycle[i], cycle[i - 1]))))] = 5
     rows[1] = rows[0]
     rows[1, eng.pairs.index((59, 63))] = 0
-    assert obstruction_bits(eng, rows).tolist() == [True, False]
+    for pr, l in [((61, 62), 1), ((62, 63), 1), ((61, 63), 3)]:
+        rows[2, eng.pairs.index(pr)] = l
+    rows[3] = rows[2]
+    rows[3, eng.pairs.index((61, 63))] = 0
+    assert obstruction_bits(eng, rows).tolist() == [True, False, True, False]
     with pytest.raises(ValueError, match="64 vertices"):
         Engine(ctx, 65)
 
