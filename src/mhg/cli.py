@@ -13,8 +13,10 @@ the platform has that signal.
 `graph check` and `complete` run on per-vertex label bitsets held as Python
 ints and refuse, with exit 2, a graph of more than graphs.MAX_BITSET_N (1,000)
 vertices.  `family witness` exits 2 past families.WITNESS_BUDGET (100,000,000)
-neighbour tests, `family classify` past MAX_CYCLE_LABELS (4,000) labels.
-numpy is imported only by `verify`.
+neighbour tests, `family classify` past MAX_CYCLE_LABELS (4,000) labels, and
+`params list`, whose output grows as delta^4, past MAX_LIST_DELTA (60).
+numpy is imported only by `verify`, traceback only on exit 3.  The value
+types are named tuples, so a cold start imports neither dataclasses nor inspect.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import json
 import math
 import signal
 import sys
-import traceback
 
 from .completion import bitset_complete
 from .families import classify_cycle, enumerate_forbidden, find_witness, is_forbidden
@@ -87,7 +88,12 @@ def cmd_params_check(args) -> int:
     return 0
 
 
+MAX_LIST_DELTA = 60  # `params list` grows as delta^4; delta = 60 answers in about 2 s
+
+
 def cmd_params_list(args) -> int:
+    if args.delta > MAX_LIST_DELTA:
+        raise ValueError(f"params list takes delta up to {MAX_LIST_DELTA}, not {args.delta}")
     tuples = enumerate_admissible(args.delta)
     if args.json:
         out = [
@@ -420,6 +426,8 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:
+        import traceback  # only an internal error pays for loading it
+
         traceback.print_exc()
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3

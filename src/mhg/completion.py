@@ -12,7 +12,7 @@ fork is the first thing the algorithm would collapse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import EdgeLabelledGraph, Pair, bits, canonical_cycle, label_bitsets
 from .magic import MagicContext
@@ -20,8 +20,7 @@ from .magic import MagicContext
 Cycle = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CompletionTrace:
+class CompletionTrace(NamedTuple):
     """Per-stage fill log. Only stages that filled something are recorded."""
 
     stages: tuple[tuple[int, int, tuple[Pair, ...]], ...]  # (stage, distance, pairs)

@@ -16,10 +16,9 @@ from __future__ import annotations
 import enum
 import functools
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate, combinations_with_replacement
 from math import comb, prod
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .graphs import EdgeLabelledGraph, canonical_cycle
 from .params import AdmissibilityCase, ParameterSequence
@@ -39,8 +38,7 @@ class FamilyTag(enum.Enum):
     SPECIAL_5 = "Special5"
 
 
-@dataclass(frozen=True)
-class FamilyWitness:
+class FamilyWitness(NamedTuple):
     """One qualifying decomposition: d_edges and x_edges partition the labels."""
 
     cycle: Cycle

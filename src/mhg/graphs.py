@@ -10,12 +10,11 @@ from __future__ import annotations
 import enum
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, combinations
 from operator import or_
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .params import ParameterSequence
 
@@ -141,8 +140,7 @@ class TriangleViolation(enum.Enum):
     C1_HIGH = "C1High"
 
 
-@dataclass(frozen=True)
-class TriangleVerdict:
+class TriangleVerdict(NamedTuple):
     labels: tuple[int, int, int]
     violations: frozenset[TriangleViolation]
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .params import AdmissibilityCase, ParameterSequence
 
@@ -63,18 +63,25 @@ def magic_permutation(p: ParameterSequence, m: int) -> tuple[int, ...]:
     return tuple(sorted(range(1, p.delta + 1), key=lambda x: time_value(m, p.delta, x)))
 
 
-@dataclass(frozen=True)
-class MagicContext:
-    """Parameter tuple with a chosen magic distance and derived tables."""
-
+class _MagicFields(NamedTuple):
     params: ParameterSequence
     m: int
-    permutation: tuple[int, ...] = field(init=False)
+    permutation: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.m not in magic_distances(self.params):
-            raise ValueError(f"{self.m} is not a magic distance of {self.params}")
-        object.__setattr__(self, "permutation", magic_permutation(self.params, self.m))
+
+class MagicContext(_MagicFields):
+    """Parameter tuple with a chosen magic distance and derived tables."""
+
+    __slots__ = ()
+
+    def __new__(cls, params: ParameterSequence, m: int):
+        if m not in magic_distances(params):
+            raise ValueError(f"{m} is not a magic distance of {params}")
+        return super().__new__(cls, params, m, magic_permutation(params, m))
+
+    def __getnewargs__(self) -> tuple[ParameterSequence, int]:
+        # copy and pickle call __new__ with these, not with all three fields.
+        return (self.params, self.m)
 
     @property
     def delta(self) -> int:

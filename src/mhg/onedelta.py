@@ -14,8 +14,8 @@ table are exactly the transpose of the other's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .families import FamilyTag, _holding_tags, active_tags, walk_bound
 from .params import ParameterSequence
@@ -59,8 +59,7 @@ def _cell_tag(
     return next((t for t in tags if t in held), None)
 
 
-@dataclass(frozen=True)
-class OneDeltaCell:
+class OneDeltaCell(NamedTuple):
     i: int
     j: int
     tag: FamilyTag
@@ -70,8 +69,7 @@ class OneDeltaCell:
         return TAG_SYMBOLS[self.tag]
 
 
-@dataclass(frozen=True)
-class OneDeltaTable:
+class OneDeltaTable(NamedTuple):
     params: ParameterSequence
     cells: tuple[OneDeltaCell, ...]
 

@@ -16,9 +16,8 @@ not enumerated.
 
 from __future__ import annotations
 
-import random
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .completion import magic_complete
 from .families import BudgetExceededError, find_witness
@@ -97,8 +96,7 @@ def has_completion(
     return False
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     """Outcome of one verification run.  ok means all routes agreed on every
     graph checked; mismatch examples are capped but the counts are exact."""
 
@@ -118,7 +116,7 @@ class EquivalenceReport:
     elapsed_seconds: float
     # Where the run spent its time and what it counted; kept out of
     # to_json_obj like elapsed_seconds.
-    stats: dict = field(default_factory=dict, compare=False)
+    stats: dict
 
     @property
     def ok(self) -> bool:
@@ -183,8 +181,10 @@ def verify_equivalence(
     if base ** min(P, 64) > _LATTICE_CAP:
         hint = "use sampling" if sample is None else "sampled mode caps it"
         raise BudgetExceededError(f"lattice for n={n_max} has {base}^{P} points, over {_LATTICE_CAP}; {hint}")
-    # numpy loads here, not at import: the CLI commands that never verify
-    # start without it.
+    # numpy and random load here, not at import: the CLI commands that never
+    # verify start without them.
+    import random
+
     import numpy as np
 
     from .engine import Engine, unpack

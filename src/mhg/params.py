@@ -9,7 +9,7 @@ actually exists.  Case numbering starts at II for historical reasons.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class AdmissibilityCase(enum.Enum):
@@ -62,22 +62,23 @@ def classify(delta: int, k1: int, k2: int, c0: int, c1: int) -> AdmissibilityCas
     return AdmissibilityCase.ACCEPTABLE_NOT_ADMISSIBLE
 
 
-@dataclass(frozen=True, order=True)
-class ParameterSequence:
-    """Acceptable parameter tuple. Construction rejects non-acceptable input."""
-
+class _ParameterFields(NamedTuple):
     delta: int
     k1: int
     k2: int
     c0: int
     c1: int
 
-    def __post_init__(self) -> None:
-        if not is_acceptable(self.delta, self.k1, self.k2, self.c0, self.c1):
-            raise ValueError(
-                f"not an acceptable parameter sequence: "
-                f"({self.delta}, {self.k1}, {self.k2}, {self.c0}, {self.c1})"
-            )
+
+class ParameterSequence(_ParameterFields):
+    """Acceptable parameter tuple. Construction rejects non-acceptable input."""
+
+    __slots__ = ()
+
+    def __new__(cls, delta: int, k1: int, k2: int, c0: int, c1: int):
+        if not is_acceptable(delta, k1, k2, c0, c1):
+            raise ValueError(f"not an acceptable parameter sequence: ({delta}, {k1}, {k2}, {c0}, {c1})")
+        return super().__new__(cls, delta, k1, k2, c0, c1)
 
     @property
     def c(self) -> int:
@@ -96,7 +97,7 @@ class ParameterSequence:
         return self.case in ADMISSIBLE_CASES
 
     def as_tuple(self) -> tuple[int, int, int, int, int]:
-        return (self.delta, self.k1, self.k2, self.c0, self.c1)
+        return tuple(self)
 
     def __str__(self) -> str:
         return f"({self.delta}, {self.k1}, {self.k2}, {self.c0}, {self.c1})"

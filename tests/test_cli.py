@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -83,6 +84,34 @@ def test_params_list_json(capsys):
     entries = json.loads(out)
     assert len(entries) == 33
     assert {"params": [5, 3, 3, 16, 13], "case": "IIB", "c": 13, "c_prime": 16} in entries
+
+
+def test_params_list_refuses_delta_over_limit(capsys, monkeypatch):
+    """`params list` grows as delta^4, so a delta past cli.MAX_LIST_DELTA
+    exits 2, with or without --json, before any tuple is enumerated, and
+    the message names the limit."""
+
+    def no_work(delta):
+        raise AssertionError("enumerated past the limit")
+
+    monkeypatch.setattr(cli, "enumerate_admissible", no_work)
+    over = str(cli.MAX_LIST_DELTA + 1)
+    for argv in (["params", "list", over], ["params", "list", over, "--json"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: params list takes delta up to {cli.MAX_LIST_DELTA}, not {over}\n"
+
+
+def test_params_list_4_bytes(capsys):
+    """The listing below the limit is byte-for-byte what it was before the
+    limit came in: SHA-1 of stdout, text and --json."""
+    for argv, sha in (
+        (["params", "list", "4"], "1f58322be5fbe44bb3797370b5df742dc40d8d7a"),
+        (["params", "list", "4", "--json"], "8abf5f64082860e1f6c0fe3295798f5dfcad8703"),
+    ):
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert hashlib.sha1(out.encode()).hexdigest() == sha, argv
 
 
 def test_magic_show_json(capsys):
@@ -471,6 +500,7 @@ def test_internal_error_exit_code(capsys, monkeypatch, exc):
     assert code == 3
     assert out == ""
     assert f"internal error: {type(exc).__name__}" in err
+    assert "Traceback (most recent call last)" in err
 
 
 @pytest.mark.parametrize(
@@ -589,21 +619,26 @@ def test_closed_stdout_pipe_is_quiet():
     assert b"Traceback" not in err and b"internal error" not in err, err
 
 
-def test_cli_does_not_import_numpy(pentagon):
+def test_cli_cold_start_modules(pentagon):
     """Only `verify` loads numpy; `graph check` and `complete` run on Python
-    ints.  mhg.oracle is imported with mhg.cli, not lazily: tracers look it
-    up in sys.modules once mhg.cli is imported."""
+    ints.  The value types are named tuples, so no command loads dataclasses
+    or inspect, and traceback loads only for an internal error.  mhg.oracle
+    is imported with mhg.cli, not lazily: tracers look it up in sys.modules
+    once mhg.cli is imported."""
     code = (
         "import sys\n"
+        "def unloaded(step):\n"
+        "    for name in ('numpy', 'dataclasses', 'inspect', 'traceback'):\n"
+        "        assert name not in sys.modules, (name, step)\n"
         "import mhg.cli\n"
-        "assert 'numpy' not in sys.modules, 'import mhg.cli'\n"
+        "unloaded('import mhg.cli')\n"
         "assert 'mhg.oracle' in sys.modules\n"
         "assert mhg.cli.main(['params', 'check', '5', '3', '3', '16', '13']) == 0\n"
-        "assert 'numpy' not in sys.modules, 'params check'\n"
+        "unloaded('params check')\n"
         f"assert mhg.cli.main(['graph', 'check', {pentagon!r}, '--params', *{IIB!r}]) == 0\n"
-        "assert 'numpy' not in sys.modules, 'graph check'\n"
+        "unloaded('graph check')\n"
         f"assert mhg.cli.main(['complete', {pentagon!r}, '--params', *{IIB!r}, '--json', '--trace']) == 0\n"
-        "assert 'numpy' not in sys.modules, 'complete'\n"
+        "unloaded('complete')\n"
     )
     proc = run_python(["-c", code], timeout=60)
     assert proc.returncode == 0, proc.stderr
