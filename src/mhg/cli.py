@@ -2,9 +2,11 @@
 
 Exit status contract: 0 for a clean run or verdict, 1 when `verify` found a
 mismatch or `family witness` found a witness, 2 for usage or input errors
-(malformed graph JSON, a graph file that cannot be read, non-admissible
-parameters where admissibility is required), 3 for an internal error: any
-other exception, such as an engine disagreement or running out of memory.
+(malformed graph JSON, a graph file that cannot be read, a graph label above
+delta, non-admissible parameters where admissibility is required), 3 for an
+internal error: any other exception, such as an engine disagreement or
+running out of memory.  `graph check`, `complete` and `family witness` refuse
+a label above delta with "graph labels exceed delta=<delta>" before any work.
 All --json output is serialized with sorted keys so identical inputs give
 byte-identical bytes.  As a program, a command whose stdout reader closes
 (`mhg params list 40 | head -1`) ends on SIGPIPE, without a traceback, where
@@ -29,7 +31,7 @@ import sys
 
 from .completion import bitset_complete
 from .families import classify_cycle, enumerate_forbidden, find_witness, is_forbidden
-from .graphs import EdgeLabelledGraph, canonical_cycle, first_violating_bitset, is_member
+from .graphs import EdgeLabelledGraph, canonical_cycle, first_violating_bitset
 from .magic import default_context, magic_distances
 from .onedelta import is_twisted_pair, render_table
 from .oracle import BudgetExceededError, verify_equivalence
@@ -146,7 +148,7 @@ def cmd_graph_check(args) -> int:
     p = _admissible(args.params)
     g = _load_graph(args.file)
     viol = first_violating_bitset(p, g)
-    member = is_member(p, g, scan=lambda *_: viol)
+    member = g.is_complete() and viol is None
     if args.json:
         obj = {
             "member": member,
@@ -166,8 +168,6 @@ def cmd_graph_check(args) -> int:
     print("member" if member else "not a member")
     if not g.is_complete():
         print("graph is incomplete")
-    if g.max_label() > p.delta:
-        print(f"label {g.max_label()} exceeds delta={p.delta}")
     if viol is not None:
         (u, v, w), verdict = viol
         tags = ",".join(sorted(k.value for k in verdict.violations))

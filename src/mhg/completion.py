@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graphs import EdgeLabelledGraph, Pair, bits, canonical_cycle, label_bitsets
+from .graphs import EdgeLabelledGraph, Pair, bits, canonical_cycle, check_labels, label_bitsets
 from .magic import MagicContext
 
 Cycle = tuple[int, ...]
@@ -48,8 +48,7 @@ def magic_complete(
     disconnected parts) are still blank after the last stage; they receive
     the magic distance M and are reported in fallback_pairs.
     """
-    if g.max_label() > ctx.delta:
-        raise ValueError(f"graph labels exceed delta={ctx.delta}")
+    check_labels(g, ctx.delta)
     adj = g.adjacency()
     blanks = g.non_edges()
     stages = []
@@ -74,8 +73,6 @@ def bitset_complete(ctx: MagicContext, g: EdgeLabelledGraph) -> tuple[EdgeLabell
     in increasing (x, y) order.  (+) is tabulated only over the labels
     present, grouped by value and extended when a stage adds a label.
     """
-    if g.max_label() > ctx.delta:
-        raise ValueError(f"graph labels exceed delta={ctx.delta}")
     N = label_bitsets(g, ctx.delta)
     above = [-(2 << x) for x in range(g.n)]
     blank = [(1 << g.n) - 1 ^ 1 << x ^ sum(Nx.values()) for x, Nx in enumerate(N)]

@@ -20,7 +20,7 @@ from itertools import accumulate, combinations_with_replacement
 from math import comb, prod
 from typing import Iterator, NamedTuple
 
-from .graphs import EdgeLabelledGraph, canonical_cycle
+from .graphs import EdgeLabelledGraph, canonical_cycle, check_labels
 from .params import AdmissibilityCase, ParameterSequence
 
 Cycle = tuple[int, ...]
@@ -305,8 +305,7 @@ def find_witness(
     neighbour tests: a popped walk of length L tests its closing edge, a
     shorter one every neighbour of its last vertex.
     """
-    if g.max_label() > p.delta:
-        raise ValueError(f"graph labels exceed delta={p.delta}")
+    check_labels(g, p.delta)
     tags = active_tags(p)
     weight, tables = _prefix_table(p)
     budget, tested = WITNESS_BUDGET, 0

@@ -194,12 +194,20 @@ def triangle_ok(p: ParameterSequence):
     return cache(lambda a, b, c: triangle_verdict(p, a, b, c).ok)
 
 
+def check_labels(g: EdgeLabelledGraph, delta: int) -> None:
+    """ValueError on a label above delta, which every graph route raises
+    before any work: the triangle rules are stated for labels 1..delta."""
+    if g.max_label() > delta:
+        raise ValueError(f"graph labels exceed delta={delta}")
+
+
 def first_violating_triangle(
     p: ParameterSequence, g: EdgeLabelledGraph
 ) -> tuple[tuple[int, int, int], TriangleVerdict] | None:
     """First fully labelled triangle (by vertex triple) with a violation.  Per
     u, walks the neighbour pairs v < w above u, not all C(n, 3) triples;
     only the triangle returned gets a TriangleVerdict."""
+    check_labels(g, p.delta)
     adj = g.adjacency()
     ok = triangle_ok(p)
     for u in range(g.n):
@@ -218,14 +226,14 @@ def bits(m: int) -> Iterator[int]:
         m ^= low
 
 
-def label_bitsets(g: EdgeLabelledGraph, top: int) -> list[dict[int, int]]:
-    """N[u][l]: bit w set iff pair (u, w) has label l, labels above top in
-    class top + 1.  Above MAX_BITSET_N vertices, ValueError before any work."""
+def label_bitsets(g: EdgeLabelledGraph, delta: int) -> list[dict[int, int]]:
+    """N[u][l]: bit w set iff pair (u, w) has label l.  ValueError before any
+    work on a label above delta (check_labels) or above MAX_BITSET_N vertices."""
+    check_labels(g, delta)
     if g.n > MAX_BITSET_N:
         raise ValueError(f"graph has {g.n} vertices; at most {MAX_BITSET_N} are supported")
     N: list[dict[int, int]] = [{} for _ in range(g.n)]
     for (u, v), l in g.labels.items():
-        l = l if l <= top else top + 1  # not min(): this runs once per edge
         N[u][l] = N[u].get(l, 0) | 1 << v
         N[v][l] = N[v].get(l, 0) | 1 << u
     return N
@@ -244,41 +252,33 @@ def first_violating_bitset(
     p: ParameterSequence, g: EdgeLabelledGraph
 ) -> tuple[tuple[int, int, int], TriangleVerdict] | None:
     """first_violating_triangle on per-vertex label bitsets; same result and
-    the same ValueError.  Labels above delta form one class top that always
-    stops the scan.  For u ascending, one pass over the labelled v > u in
-    ascending order: with a the class of (u, v), bad is the OR over the
-    classes b at u of N[u][b] AND the vertices whose label at v is not
-    allowed with (a, b): a prefix and a suffix of v's sorted classes of each
-    parity (allowed_intervals), read from prefix and suffix ORs.  The first v
-    with bad set, and bad's lowest bit w, are the first stop; triangle_verdict
-    on its real labels raises where the reference does.
+    the same ValueError.  For u ascending, one pass over the labelled v > u
+    in ascending order: with a the label of (u, v), bad is the OR over the
+    labels b at u of N[u][b] AND the vertices whose label at v is not
+    allowed with (a, b): a prefix and a suffix of v's sorted labels of each
+    parity (allowed_intervals), read from prefix and suffix ORs.  The first
+    v with bad set, and bad's lowest bit w, are the first violating triangle.
     """
-    top = p.delta + 1
     N = label_bitsets(g, p.delta)
-    # Per vertex: class-top bits, labelled bits, and per parity present
-    # (parity, sorted classes, ORs before each position, ORs from it on).
+    # Per vertex and parity present: (parity, sorted labels, prefix ORs, suffix ORs).
     tabs = []
     for Nv in N:
         per = []
         for par in (0, 1):
-            ls = sorted(c for c in Nv if c % 2 == par and c < top)
+            ls = sorted(c for c in Nv if c % 2 == par)
             if ls:
                 suf = [*accumulate((Nv[c] for c in reversed(ls)), or_, initial=0)]
                 per.append((par, ls, [*accumulate((Nv[c] for c in ls), or_, initial=0)], suf[::-1]))
-        tabs.append((Nv.get(top, 0), sum(Nv.values()), per))
+        tabs.append(per)
     intervals = cache(lambda a, b: allowed_intervals(p, a, b))
     for u in range(g.n):
         Nu = N[u]
-        top_u, labelled, _ = tabs[u]
-        order = sorted(((vb.bit_length() - 1, b, vb) for b, vb in Nu.items() if b < top), reverse=True)
-        rows: dict[int, list] = {}  # [a][parity of c]: (highest bit, N[u][b], allowed lo, hi of c) per b
+        order = sorted(((vb.bit_length() - 1, b, vb) for b, vb in Nu.items()), reverse=True)
+        rows = {a: [None, None] for a in Nu}  # [a][parity of c]: (highest bit, N[u][b], allowed lo, hi of c) per b
         for v, a in sorted((v, a) for a, va in Nu.items() for v in bits(va & -(2 << u))):
-            row = rows.get(a) or rows.setdefault(a, [None, None])  # for a = top rows add nothing: bad holds every w
-            top_v, labelled_v, per = tabs[v]
-            # Class top always stops.  bad has no bit w < v: a stop on w, u
-            # and v would have stopped the scan at w or at an earlier u.
-            bad = labelled & top_v | (top_u if a < top else labelled) & labelled_v
-            for par, ls, pre, suf in per:
+            row = rows[a]
+            bad = 0  # gets no bit w < v: that stop would have come at w or an earlier u
+            for par, ls, pre, suf in tabs[v]:
                 if row[par] is None:  # built when first needed
                     row[par] = [(hb, vb, *intervals(a, b)[par]) for hb, b, vb in order]
                 for hb, vb, lo, hi in row[par]:
@@ -291,14 +291,10 @@ def first_violating_bitset(
     return None
 
 
-def is_member(p: ParameterSequence, g: EdgeLabelledGraph, scan=first_violating_triangle) -> bool:
-    """Complete, labels within 1..delta, and every triangle constraint holds.
-
-    scan(p, g) returns g's first violating triangle or None, and runs only
-    when the first two conditions hold; first_violating_bitset gives the
-    same answer as the default.
-    """
-    return g.is_complete() and g.max_label() <= p.delta and scan(p, g) is None
+def is_member(p: ParameterSequence, g: EdgeLabelledGraph) -> bool:
+    """Complete, labels within 1..delta, and every triangle constraint holds;
+    False, not the ValueError of the scan, on a label above delta."""
+    return g.is_complete() and g.max_label() <= p.delta and first_violating_triangle(p, g) is None
 
 
 # No program path calls this.  It stays as the tests' reference scan for

@@ -55,19 +55,16 @@ def has_completion(
     fits (u, v) when triangle_ok accepts it with each common neighbour's
     label pair.  budget caps the number of search nodes.
     """
-    if g.max_label() > p.delta:
-        raise ValueError(f"graph labels exceed delta={p.delta}")
     if first_violating_triangle(p, g) is not None:
         return False
     blanks = g.non_edges()
     adj = g.adjacency()
     ok = triangle_ok(p)
-    order = list(range(1, p.delta + 1))
     nodes = 0
 
     # Explicit-stack depth-first search, so no blank count hits the recursion
-    # limit.  tried[i] counts the labels of `order` already tried at blank i;
-    # 0 means the search enters blank i afresh, which counts one node.
+    # limit.  Blank i tries label tried[i] + 1 next; tried[i] == 0 means the
+    # search enters blank i afresh, which counts one node.
     # sides[i]: the common neighbours' label pairs at blank i, read on entry;
     # the blanks before i keep their labels until the search backs out of i.
     tried = [0] * len(blanks)
@@ -84,14 +81,14 @@ def has_completion(
             if nodes > budget:
                 raise BudgetExceededError(f"completion search exceeded budget {budget}")
             sides[i] = [(adj[u][z], adj[v][z]) for z in adj[u].keys() & adj[v].keys()]
-        while tried[i] < len(order) and not all(ok(a, b, order[tried[i]]) for a, b in sides[i]):
+        while tried[i] < p.delta and not all(ok(a, b, tried[i] + 1) for a, b in sides[i]):
             tried[i] += 1
-        if tried[i] == len(order):
+        if tried[i] == p.delta:
             tried[i] = 0
             i -= 1
         else:
-            adj[u][v] = adj[v][u] = order[tried[i]]
             tried[i] += 1
+            adj[u][v] = adj[v][u] = tried[i]
             i += 1
     return False
 
@@ -213,6 +210,13 @@ def verify_equivalence(
         new = np.packbits(np.concatenate([unpack(dst[b : b + 1], off), unpack(bits, hi - lo)]), bitorder="little")
         dst[b : b + new.size] = new
 
+    def first_set(bits, cap):
+        """Positions of the first cap set bits of packed bits, padding bits 0.
+        Each nonzero byte holds a set bit, so the first cap such bytes hold them."""
+        at = np.flatnonzero(bits)[:cap]
+        byte, bit = np.nonzero(unpack(bits[at, None], 8))
+        return (8 * at[byte] + bit)[:cap]
+
     for n in [n_max] if sample is not None else range(3, n_max + 1):
         eng = timed("tables", Engine, ctx, n)
         if sample is None:
@@ -250,14 +254,14 @@ def verify_equivalence(
             filled, fb = timed("complete", eng.complete_batch, planes)
             put(magic_ok, timed("member", eng.member_batch, filled))
             chunks += 1
-            fb_at = np.flatnonzero(unpack(np.bitwise_or.reduce(fb, axis=0), hi - lo))
-            fb_graphs += fb_at.size
-            for i in fb_at[: _FALLBACK_CAP - len(fb_examples)]:
+            fb_any = np.bitwise_or.reduce(fb, axis=0)
+            fb_graphs += int(np.bitwise_count(fb_any).sum())
+            for i in first_set(fb_any, _FALLBACK_CAP - len(fb_examples)):
                 fb_examples.append(
                     {
                         "n": n,
                         "graph": eng.row_to_graph(rows_at(np.array([lo + i]))[0]).to_json_obj(),
-                        "pairs": [list(eng.pairs[q]) for q in np.flatnonzero(unpack(fb, hi - lo)[:, i])],
+                        "pairs": [list(eng.pairs[q]) for q in np.flatnonzero(fb[:, i >> 3] >> (i & 7) & 1)],
                     }
                 )
         checked += total
@@ -269,11 +273,7 @@ def verify_equivalence(
         for kind, verdict in (("witness", wit_free), ("magic", magic_ok)):
             diff = orc ^ verdict
             mismatches[kind] += int(np.bitwise_count(diff).sum())
-            # Each nonzero byte holds a mismatch, so the first cap bytes hold the first cap.
-            cap = _EXAMPLE_CAP - len(examples)
-            at = np.flatnonzero(diff)[:cap]
-            byte, bit = np.nonzero(unpack(diff[at, None], 8))
-            shown = (8 * at[byte] + bit)[:cap]
+            shown = first_set(diff, _EXAMPLE_CAP - len(examples))
             for i, row in zip(shown, rows_at(shown)):
                 examples.append(_confirmed(eng, row, kind, *(_bit(v, i) for v in verdicts)))
 

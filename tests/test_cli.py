@@ -164,15 +164,40 @@ def test_graph_check_text(capsys, tmp_path, triangle):
     assert code == 0
     assert out == "member\n"
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"n": 4, "edges": [[0, 1, 1], [0, 2, 1], [1, 2, 1], [2, 3, 7]]}))
+    path.write_text(json.dumps({"n": 4, "edges": [[0, 1, 1], [0, 2, 1], [1, 2, 1], [2, 3, 2]]}))
     code, out, _ = run(capsys, ["graph", "check", str(path), "--params", *IIB])
     assert code == 0
     assert out.splitlines() == [
         "not a member",
         "graph is incomplete",
-        "label 7 exceeds delta=5",
         "violating triangle (0,1,2) labels (1, 1, 1) [K1Low]",
     ]
+    path.write_text(json.dumps({"n": 4, "edges": [[0, 1, 1], [0, 2, 1], [1, 2, 1], [2, 3, 7]]}))
+    code, out, err = run(capsys, ["graph", "check", str(path), "--params", *IIB])
+    assert (code, out, err) == (2, "", "error: graph labels exceed delta=5\n")
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [[0, 1, 9], [0, 2, 1], [1, 2, 1], [2, 3, 2]],  # in the first triangle scanned
+        [[0, 1, 9], [2, 3, 2]],  # in no triangle
+        [[0, 1, 1], [0, 2, 1], [1, 2, 1], [2, 3, 7]],  # after a violating triangle
+    ],
+    ids=["first-triangle", "no-triangle", "after-violation"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["graph", "check"], ["graph", "check", "--json"], ["complete"], ["family", "witness"]],
+    ids=" ".join,
+)
+def test_label_above_delta_refused_by_every_graph_command(capsys, tmp_path, edges, argv):
+    """A label above delta is an input error wherever it sits: every command
+    that reads a graph exits 2 with the same message and prints nothing."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 4, "edges": edges}))
+    code, out, err = run(capsys, [*argv, str(path), "--params", *IIB])
+    assert (code, out, err) == (2, "", "error: graph labels exceed delta=5\n")
 
 
 def test_graph_check_malformed_json(capsys, tmp_path):

@@ -151,9 +151,9 @@ def test_triangle_ok_per_tuple():
     triple of every delta <= 5 tuple.  The tuples are queried interleaved,
     so a memo shared between tuples would answer with another tuple's
     verdict.  An out-of-range label raises the same ValueError on every
-    call, not a cached answer, in first_violating_triangle too; is_member
-    answers False on it without scanning, and has_completion refuses it
-    before any triangle is tested."""
+    call, not a cached answer.  A graph holding one is refused up front by
+    first_violating_triangle, and so by has_completion before any search;
+    is_member answers False on it without scanning."""
     tuples = [p for d in range(1, 6) for p in enumerate_admissible(d)]
     for a, b, c in product(range(1, 6), repeat=3):
         for p in tuples:
@@ -165,7 +165,7 @@ def test_triangle_ok_per_tuple():
         for _ in range(2):
             with pytest.raises(ValueError, match=rf"^label {big} out of range 1\.\.{p.delta}$"):
                 triangle_ok(p)(1, big, 1)
-            with pytest.raises(ValueError, match=rf"^label {big} out of range 1\.\.{p.delta}$"):
+            with pytest.raises(ValueError, match=rf"^graph labels exceed delta={p.delta}$"):
                 first_violating_triangle(p, g)
             assert not is_member(p, g)
             with pytest.raises(ValueError, match=rf"^graph labels exceed delta={p.delta}$"):
@@ -245,10 +245,13 @@ def outcome(fn, p, g):
 
 
 def assert_same_scan(p, g):
+    """Same first violating triangle or ValueError from both scans; with no
+    error, `graph check`'s membership (complete and no violating triangle
+    from the bitset scan) agrees with is_member."""
     got = outcome(first_violating_bitset, p, g)
     assert got == outcome(first_violating_triangle, p, g), g
     if not isinstance(got, str):
-        assert is_member(p, g, scan=first_violating_bitset) == is_member(p, g), g
+        assert (g.is_complete() and got is None) == is_member(p, g), g
 
 
 @pytest.mark.parametrize("p", MATRIX_TUPLES, ids=str)
@@ -272,9 +275,9 @@ def test_first_violating_graph_matches_reference(p):
 
 @pytest.mark.parametrize("big", [6, 257, 10**12])
 def test_first_violating_graph_out_of_range_labels(big):
-    """Labels above delta = 5 raise the reference's ValueError exactly when
-    the reference meets them first; a violation found earlier wins.  257
-    and 10**12 would wrap around in uint8 if not clipped."""
+    """A label above delta = 5 makes both scans raise the same ValueError
+    before scanning, also where a violating triangle comes first.  257 and
+    10**12 would wrap around in uint8."""
     rng = random.Random(f"big {big}")
     for _ in range(150):
         n = rng.randint(3, 14)
@@ -284,8 +287,9 @@ def test_first_violating_graph_out_of_range_labels(big):
 
 @pytest.mark.parametrize("p", WIDE_TUPLES, ids=str)
 def test_first_violating_graph_wide_delta(p):
-    """delta above 255: labels near delta, and delta + 1 and 10**12 beyond
-    it, must neither wrap around nor be mistaken for one another."""
+    """delta above 255: labels near delta must neither wrap around nor be
+    mistaken for one another; delta + 1 and 10**12 beyond it make both scans
+    raise the same ValueError before scanning."""
     rng = random.Random(f"scan wide {p}")
     ctx = default_context(p)
     few = [1, 2, p.delta // 2, ctx.m, p.delta - 1, p.delta]
