@@ -17,6 +17,7 @@ not enumerated.
 from __future__ import annotations
 
 import time
+from itertools import compress
 from typing import NamedTuple
 
 from .completion import magic_complete
@@ -159,7 +160,7 @@ def verify_equivalence(
     in sampled mode the batch search and obstruction scan answer for the
     rows each chunk decodes.  Per n each verdict is kept as packed bits,
     padding bits 0, whose XOR and popcount count the mismatches after the
-    chunks.  numpy draws the sampled rows and random.Random(seed) the
+    chunks.  numpy draws the sampled rows and random.Random(seed), first, the
     spot-checked ones, so an exhaustive run never loads numpy.random.
     """
     if n_max < 3:
@@ -217,6 +218,17 @@ def verify_equivalence(
         byte, bit = np.nonzero(unpack(bits[at, None], 8))
         return (8 * at[byte] + bit)[:cap]
 
+    def fallback_pairs(fb, cols):
+        """The pairs fb marks for each row of cols, as [u, v] in pair order, from one gather."""
+        return [list(map(list, compress(eng.pairs, row))) for row in (fb[:, cols >> 3] >> (cols & 7) & 1).T.tolist()]
+
+    def take_spot_rows(filled, fb):
+        """Completed labels and fallback pairs of the magic spot rows in [lo, hi)."""
+        cols = magic_at[(lo <= magic_at) & (magic_at < hi)] - lo
+        if cols.size:
+            labels = (filled[..., cols >> 3] >> (cols & 7) & 1).argmax(axis=1).T.tolist()
+            magic_done.update(zip((cols + lo).tolist(), zip(labels, fallback_pairs(fb, cols))))
+
     for n in [n_max] if sample is not None else range(3, n_max + 1):
         eng = timed("tables", Engine, ctx, n)
         if sample is None:
@@ -241,6 +253,9 @@ def verify_equivalence(
         def rows_at(pos):
             return eng.decode(pos if idx is None else idx[pos])
 
+        spot_at = timed("spot_check", lambda: [spot_rng.sample(range(total), min(k, total)) for k in (200, 50, 12)])
+        magic_at, magic_done = np.array(spot_at[1]), {}
+
         for lo in range(0, total, step):
             hi = min(lo + step, total)
             if idx is None:
@@ -252,23 +267,20 @@ def verify_equivalence(
                 put(wit_free, np.invert(timed("obstruction", eng.obstruction_batch, planes)))
                 put(orc, timed("search", eng.completable_batch, rows, planes))
             filled, fb = timed("complete", eng.complete_batch, planes)
+            timed("spot_check", take_spot_rows, filled, fb)
             put(magic_ok, timed("member", eng.member_batch, filled))
             chunks += 1
             fb_any = np.bitwise_or.reduce(fb, axis=0)
             fb_graphs += int(np.bitwise_count(fb_any).sum())
-            for i in first_set(fb_any, _FALLBACK_CAP - len(fb_examples)):
-                fb_examples.append(
-                    {
-                        "n": n,
-                        "graph": eng.row_to_graph(rows_at(np.array([lo + i]))[0]).to_json_obj(),
-                        "pairs": [list(eng.pairs[q]) for q in np.flatnonzero(fb[:, i >> 3] >> (i & 7) & 1)],
-                    }
-                )
+            shown = first_set(fb_any, _FALLBACK_CAP - len(fb_examples))
+            if shown.size:
+                for row, pairs in zip(rows_at(lo + shown), fallback_pairs(fb, shown)):
+                    fb_examples.append({"n": n, "graph": eng.row_to_graph(row).to_json_obj(), "pairs": pairs})
         checked += total
         completable_rows += int(np.bitwise_count(orc).sum())
         verdicts = (orc, wit_free, magic_ok)
 
-        timed("spot_check", _spot_check, eng, rows_at, total, verdicts, spot_rng, spot)
+        timed("spot_check", _spot_check, eng, rows_at, verdicts, *spot_at, magic_done, spot)
 
         for kind, verdict in (("witness", wit_free), ("magic", magic_ok)):
             diff = orc ^ verdict
@@ -310,50 +322,37 @@ def _bit(bits, i) -> bool:
     return bool(bits[i >> 3] >> (i & 7) & 1)
 
 
-def _spot_check(eng, rows_at, total, verdicts, spot_rng, spot) -> None:
+def _spot_check(eng, rows_at, verdicts, search_at, magic_at, witness_at, magic_done, spot) -> None:
     """Scalar reference vs vectorized result over random rows, same route on
     both sides; any disagreement is an internal error, never a finding.
-    rows_at(positions) decodes the rows at those positions, of the total rows
-    the packed verdicts cover.  A search over its budget skips the graph;
-    BudgetExceededError from a witness search propagates."""
-    import numpy as np
-
-    from .engine import plane_rows, unpack
-
+    rows_at(positions) decodes rows; magic_done[i] holds the labels and
+    fallback pairs row i's chunk completed.  A search over its budget skips
+    the graph; BudgetExceededError from a witness search propagates."""
     orc, wit_free, magic_ok = verdicts
-    p = eng.p
-
-    def pick(k: int) -> np.ndarray:
-        return np.array(spot_rng.sample(range(total), min(k, total)), dtype=np.int64)
-
-    chosen = pick(200)
-    for i, row in zip(chosen, rows_at(chosen)):
+    for i, row in zip(search_at, rows_at(search_at)):
         g = eng.row_to_graph(row)
         try:
-            ref = has_completion(p, g, budget=_SPOT_BUDGET)
+            ref = has_completion(eng.p, g, budget=_SPOT_BUDGET)
         except BudgetExceededError:
             spot["search_skipped"] += 1
             continue
         if ref != _bit(orc, i):
             raise RuntimeError(f"engine disagreement (search route) on {g!r}")
         spot["search"] += 1
-    chosen = pick(50)
-    rows = rows_at(chosen)
-    filled, fb = eng.complete_batch(eng.planes(rows))
-    for i, row, row_filled, row_fb in zip(chosen, rows, plane_rows(filled, len(rows)), unpack(fb, len(rows)).T):
+    for i, row in zip(magic_at, rows_at(magic_at)):
         g = eng.row_to_graph(row)
+        labels, pairs = magic_done[i]
         done, trace = magic_complete(eng.ctx, g)
-        if eng.row_to_graph(row_filled) != done:
+        if dict(zip(eng.pairs, labels)) != done.labels:
             raise RuntimeError(f"engine disagreement (completion route) on {g!r}")
-        if {eng.pairs[q] for q in np.flatnonzero(row_fb)} != set(trace.fallback_pairs):
+        if set(map(tuple, pairs)) != set(trace.fallback_pairs):
             raise RuntimeError(f"engine disagreement (fallback log) on {g!r}")
-        if is_member(p, done) != _bit(magic_ok, i):
+        if is_member(eng.p, done) != _bit(magic_ok, i):
             raise RuntimeError(f"engine disagreement (membership route) on {g!r}")
         spot["magic"] += 1
-    chosen = pick(12)
-    for i, row in zip(chosen, rows_at(chosen)):
+    for i, row in zip(witness_at, rows_at(witness_at)):
         g = eng.row_to_graph(row)
-        if (find_witness(p, g) is None) != _bit(wit_free, i):
+        if (find_witness(eng.p, g) is None) != _bit(wit_free, i):
             raise RuntimeError(f"engine disagreement (obstruction route) on {g!r}")
         spot["witness"] += 1
 

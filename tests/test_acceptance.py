@@ -1,10 +1,12 @@
 """Acceptance suite: seven criteria, one test and one summary line each.
 
-Criterion 2 drives the heavy sweeps; its reports are shared with criterion 3
-through a session fixture.  Criterion 2 took 2-4 s on a 2-core Xeon
+Criterion 2 drives the heavy sweeps; its reports are shared with criterion 3,
+and with a pin on their `--json` bytes, through a session fixture.  Criterion 2 took 2-4 s on a 2-core Xeon
 with Python 3.11 and numpy 2.4 (the full tier-1 run: about a minute).
 """
 
+import hashlib
+import json
 from itertools import product
 
 import pytest
@@ -130,6 +132,17 @@ def test_criterion_2_oracle_equivalence(sweep_reports):
     assert ok
     for p, rep in sweep_reports:
         assert rep.ok, (p.as_tuple(), rep.mode)
+
+
+def test_criterion_2_json_bytes_are_pinned(sweep_reports):
+    """The byte-stable `--json` contract: SHA-256 over every criterion-2
+    report's sorted-key JSON, in fixture order.  Same rows, counts and
+    examples give the same digest; a change that alters them on purpose
+    updates it and says so."""
+    digest = hashlib.sha256()
+    for _, rep in sweep_reports:
+        digest.update(json.dumps(rep.to_json_obj(), sort_keys=True).encode())
+    assert digest.hexdigest() == "c476744bb4779c0629a17337001cdad28d7f88f9609aac47f2fa949a5553452a"
 
 
 def test_criterion_3_magic_consistency(sweep_reports):

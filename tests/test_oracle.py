@@ -799,6 +799,64 @@ def test_engine_disagreement_is_internal_error(monkeypatch, capsys, case):
     assert f"({route})" in capsys.readouterr().err
 
 
+
+def test_fallback_fault_in_full_size_chunks_is_internal_error(monkeypatch, capsys):
+    """A complete_batch whose fallback planes are wrong only in batches of
+    more than 64 rows: the n = 4 chunk of 4,096 lattice points, or of 400
+    drawn rows, then logs 4,105 (sampled: 400) fallback graphs where there
+    are 596 (53).  The magic spot check reads its rows off the chunk that
+    completed them, so the fault stops the run; completing the 50 spot rows
+    again as one small batch would miss it."""
+    stage = Engine.complete_batch
+
+    def faulty(self, planes):
+        filled, fb = stage(self, planes)
+        return (filled, ~fb) if planes.shape[-1] > 8 else (filled, fb)
+
+    monkeypatch.setattr(Engine, "complete_batch", faulty)
+    for kwargs in ({}, {"sample": 400, "seed": 11}):
+        with pytest.raises(RuntimeError, match=re.escape("engine disagreement (fallback log)")):
+            verify_equivalence(P_III3, 4, **kwargs)
+    assert main(["verify", "--params", "3", "1", "3", "10", "9", "--n-max", "4"]) == 3
+    assert "(fallback log)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "p, kwargs", [(P_III3, {}), (P_IIB, {"sample": 400, "seed": 11})], ids=["exhaustive", "sampled"]
+)
+def test_spot_checks_get_the_drawn_rows(monkeypatch, p, kwargs):
+    """The scalar spot checks get, per n and in order, the rows at
+    random.Random(seed).sample(range(total), min(k, total)) for k = 200
+    (search), 50 (magic) and 12 (witness), drawn in that order from one
+    generator: where the draws happen must not change the rows checked."""
+    seen = {"has_completion": [], "magic_complete": [], "find_witness": []}
+
+    def spy(route, log):
+        def run(first, g, **kw):
+            log.append(g)
+            return route(first, g, **kw)
+
+        return run
+
+    for name, log in seen.items():
+        monkeypatch.setattr(oracle, name, spy(getattr(oracle, name), log))
+    report = verify_equivalence(p, 4, **kwargs)
+    assert report.ok
+    seed = kwargs.get("seed", 0)
+    rng, want = random.Random(seed), {name: [] for name in seen}
+    for n in [4] if "sample" in kwargs else [3, 4]:
+        eng = Engine(default_context(p), n)
+        if "sample" in kwargs:
+            idx = np.random.default_rng(seed).integers(0, eng.size, size=kwargs["sample"], dtype=np.int64)
+        else:
+            idx = np.arange(eng.size)
+        for name, k in zip(want, (200, 50, 12)):
+            at = rng.sample(range(len(idx)), min(k, len(idx)))
+            want[name] += [eng.row_to_graph(row) for row in eng.decode(idx[at])]
+    assert seen == want
+    assert [len(want[name]) for name in want] == ([200, 50, 12] if "sample" in kwargs else [64 + 200, 100, 24])
+
+
 def test_verify_reports_confirmed_mismatches(monkeypatch, capsys):
     """Engine and scalar membership both call every completion a non-member,
     so the magic route disagrees with the search route on exactly the
