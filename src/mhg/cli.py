@@ -3,10 +3,13 @@
 Exit status contract: 0 for a clean run or verdict, 1 when `verify` found a
 mismatch or `family witness` found a witness, 2 for usage or input errors
 (malformed graph JSON, a graph file that cannot be read, a graph label above
-delta, non-admissible parameters where admissibility is required), 3 for an
-internal error: any other exception, such as an engine disagreement or
-running out of memory.  `graph check`, `complete` and `family witness` refuse
-a label above delta with "graph labels exceed delta=<delta>" before any work.
+delta, a malformed cycle, non-admissible parameters where admissibility is
+required), 3 for an internal error: any other exception, such as an engine
+disagreement or running out of memory.  `graph check`, `complete` and
+`family witness` refuse a label above delta with "graph labels exceed
+delta=<delta>" before any work; `family classify` refuses, with the same
+message with and without --json, a cycle that graphs.check_cycle rejects:
+fewer than 3 labels, or a label outside 1..delta.
 All --json output is serialized with sorted keys so identical inputs give
 byte-identical bytes.  As a program, a command whose stdout reader closes
 (`mhg params list 40 | head -1`) ends on SIGPIPE, without a traceback, where
@@ -35,7 +38,7 @@ from .graphs import EdgeLabelledGraph, canonical_cycle, first_violating_bitset
 from .magic import default_context, magic_distances
 from .onedelta import is_twisted_pair, render_table
 from .oracle import BudgetExceededError, verify_equivalence
-from .params import ParameterSequence, classify, enumerate_admissible, is_acceptable
+from .params import ParameterSequence, admissible, classify, enumerate_admissible, is_acceptable
 
 PARAM_NAMES = ("DELTA", "K1", "K2", "C0", "C1")
 
@@ -45,10 +48,7 @@ def _dumps(obj) -> str:
 
 
 def _admissible(vals: list[int]) -> ParameterSequence:
-    p = ParameterSequence(*vals)
-    if not p.is_admissible:
-        raise ValueError(f"parameters {p} are acceptable but not admissible")
-    return p
+    return admissible(ParameterSequence(*vals))
 
 
 def _load_graph(path: str) -> EdgeLabelledGraph:
@@ -65,12 +65,9 @@ def _parse_cycle(text: str) -> tuple[int, ...]:
     if (count := text.count(",") + 1) > MAX_CYCLE_LABELS:
         raise ValueError(f"a cycle of {count} labels is over the limit of {MAX_CYCLE_LABELS}")
     try:
-        labels = tuple(int(t) for t in text.split(","))
+        return tuple(int(t) for t in text.split(","))
     except ValueError:
         raise ValueError(f"cycle must be comma-separated integers, got {text!r}") from None
-    if len(labels) < 3:
-        raise ValueError("a cycle needs at least 3 labels")
-    return labels
 
 
 def cmd_params_check(args) -> int:

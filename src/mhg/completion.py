@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graphs import EdgeLabelledGraph, Pair, bits, canonical_cycle, check_labels, label_bitsets
+from .graphs import EdgeLabelledGraph, Pair, bits, canonical_cycle, check_cycle, check_labels, label_bitsets
 from .magic import MagicContext
 
 Cycle = tuple[int, ...]
@@ -125,7 +125,7 @@ def _adjacent_values(ctx: MagicContext, cycle: Cycle) -> list[int]:
 
 def first_stage_value(ctx: MagicContext, cycle: Cycle) -> int:
     """The earliest-stage value among all adjacent label pairs of the cycle."""
-    return min(_adjacent_values(ctx, cycle), key=ctx.stage_of)
+    return min(_adjacent_values(ctx, check_cycle(cycle, ctx.delta)), key=ctx.stage_of)
 
 
 def steps(ctx: MagicContext, cycle: Cycle) -> list[Cycle]:
@@ -134,24 +134,16 @@ def steps(ctx: MagicContext, cycle: Cycle) -> list[Cycle]:
     On a triangle every vertex pair is adjacent, so nothing can be filled and
     the list is empty.  Results are canonical and duplicate-free.
     """
-    cycle = tuple(cycle)
+    cycle = check_cycle(cycle, ctx.delta)
     k = len(cycle)
-    if k < 3:
-        raise ValueError("a cycle has at least 3 edges")
     if k == 3:
         return []
     vals = _adjacent_values(ctx, cycle)
     target = min(vals, key=ctx.stage_of)
-    out = set()
-    for j, v in enumerate(vals):
-        if v != target:
-            continue
-        if j + 1 < k:
-            nxt = cycle[:j] + (v,) + cycle[j + 2 :]
-        else:  # pair (cycle[-1], cycle[0]) wraps around
-            nxt = cycle[1 : k - 1] + (v,)
-        out.add(canonical_cycle(nxt))
-    return sorted(out)
+    # Filling pair j merges labels j and j + 1 (mod k) into v: the k - 2
+    # labels after them, read round the doubled cycle, then v.
+    nxt = {(cycle * 2)[j + 2 : j + k] + (v,) for j, v in enumerate(vals) if v == target}
+    return sorted({canonical_cycle(c) for c in nxt})
 
 
 def inverse_steps(ctx: MagicContext, cycle: Cycle, max_edges: int) -> list[Cycle]:
@@ -161,11 +153,8 @@ def inverse_steps(ctx: MagicContext, cycle: Cycle, max_edges: int) -> list[Cycle
     p is the first-stage value of the expanded cycle.  Results with more than
     max_edges edges are not generated.
     """
-    cycle = tuple(cycle)
-    k = len(cycle)
-    if k < 3:
-        raise ValueError("a cycle has at least 3 edges")
-    if k + 1 > max_edges:
+    cycle = check_cycle(cycle, ctx.delta)
+    if len(cycle) + 1 > max_edges:
         return []
     out = set()
     for idx, p in enumerate(cycle):
@@ -181,7 +170,4 @@ def inverse_steps(ctx: MagicContext, cycle: Cycle, max_edges: int) -> list[Cycle
 
 def has_tension(ctx: MagicContext, cycle: Cycle) -> bool:
     """True when some adjacent label pair evaluates away from M."""
-    cycle = tuple(cycle)
-    if len(cycle) < 3:
-        raise ValueError("a cycle has at least 3 edges")
-    return any(v != ctx.m for v in _adjacent_values(ctx, cycle))
+    return any(v != ctx.m for v in _adjacent_values(ctx, check_cycle(cycle, ctx.delta)))

@@ -52,11 +52,6 @@ def unpack(planes: np.ndarray, count: int) -> np.ndarray:
     return np.unpackbits(planes, axis=-1, count=count, bitorder="little").view(bool)
 
 
-def plane_rows(planes: np.ndarray, count: int) -> np.ndarray:
-    """Label rows (count, P) of one-hot planes: the inverse of Engine.planes."""
-    return unpack(planes, count).argmax(axis=1).astype(np.uint8).T
-
-
 def _close(H: np.ndarray, down: bool) -> None:
     """OR-close a lattice of shape (base,) * P in place along every axis:
     down v[0] |= v[l], up v[l] |= v[0].  High axes close in place; the low k,

@@ -20,8 +20,8 @@ from itertools import accumulate, combinations_with_replacement
 from math import comb, prod
 from typing import Iterator, NamedTuple
 
-from .graphs import EdgeLabelledGraph, canonical_cycle, check_labels
-from .params import AdmissibilityCase, ParameterSequence
+from .graphs import EdgeLabelledGraph, canonical_cycle, check_cycle, check_labels
+from .params import AdmissibilityCase, ParameterSequence, admissible
 
 Cycle = tuple[int, ...]
 
@@ -67,8 +67,7 @@ def active_tags(p: ParameterSequence) -> frozenset[FamilyTag]:
     one distinguished triple each; the delta = 5 case IIB tuple additionally
     forbids the pentagon with all labels 5.
     """
-    if not p.is_admissible:
-        raise ValueError(f"parameters {p} are not admissible")
+    admissible(p)
     if p.c_prime - p.c == 1:
         return frozenset(
             {FamilyTag.NON_METRIC, FamilyTag.C_CYCLE, FamilyTag.K1_CYCLE, FamilyTag.K2_CYCLE}
@@ -131,9 +130,7 @@ def _holding_tags(p: ParameterSequence, labels: Cycle) -> set[FamilyTag]:
 
 def is_forbidden(p: ParameterSequence, cycle: Cycle) -> bool:
     """Membership of the cycle in the obstruction set of p."""
-    cycle = tuple(cycle)
-    if len(cycle) < 3:
-        raise ValueError("a cycle has at least 3 edges")
+    cycle = check_cycle(cycle, p.delta)
     return not _holding_tags(p, cycle).isdisjoint(active_tags(p))
 
 
@@ -174,11 +171,7 @@ def classify_cycle(p: ParameterSequence, cycle: Cycle) -> list[FamilyWitness]:
     matter.  n = 0 instances of the C, C0 and C1 inequalities are exactly the
     non-metric cycles and are reported under the NonMetric tag.
     """
-    cycle = tuple(cycle)
-    if len(cycle) < 3:
-        raise ValueError("a cycle has at least 3 edges")
-    if max(cycle) > p.delta:
-        raise ValueError(f"cycle labels exceed delta={p.delta}")
+    cycle = check_cycle(cycle, p.delta)
     held = _holding_tags(p, cycle)
     if not held:  # where no family holds, no decomposition qualifies
         return []

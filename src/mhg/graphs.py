@@ -115,14 +115,24 @@ class EdgeLabelledGraph:
         return cls.from_json_obj(json.loads(text))
 
 
+def check_cycle(labels, delta: int | None) -> tuple[int, ...]:
+    """The labels as a tuple, or ValueError unless they are a cycle: at least
+    3 labels, each in 1..delta.  Every cycle route checks this first; delta
+    None (canonical_cycle, which knows no tuple) drops the upper bound."""
+    t = tuple(labels)
+    if len(t) < 3:
+        raise ValueError("a cycle has at least 3 labels")
+    if min(t) < 1:
+        raise ValueError("cycle labels must be positive")
+    if delta is not None and max(t) > delta:
+        raise ValueError(f"cycle labels exceed delta={delta}")
+    return t
+
+
 def canonical_cycle(labels) -> tuple[int, ...]:
     """Lexicographically least rotation of the label sequence or its reversal."""
-    t = tuple(labels)
+    t = check_cycle(labels, None)
     k = len(t)
-    if k < 3:
-        raise ValueError("a cycle has at least 3 edges")
-    if any(l < 1 for l in t):
-        raise ValueError("cycle labels must be positive")
     best = t
     for seq in (t, t[::-1]):
         for i in range(k):

@@ -12,7 +12,7 @@ import enum
 import math
 from typing import NamedTuple
 
-from .params import AdmissibilityCase, ParameterSequence
+from .params import AdmissibilityCase, ParameterSequence, admissible
 
 
 class ForkKind(enum.Enum):
@@ -29,8 +29,7 @@ def magic_distances(p: ParameterSequence) -> list[int]:
     thinned by two Case III corner conditions.  Raises ValueError when p is not
     admissible.
     """
-    if not p.is_admissible:
-        raise ValueError(f"parameters {p} are not admissible")
+    admissible(p)
     lo = max(p.k1, -(-p.delta // 2))
     hi = min(p.k2, (p.c - p.delta - 1) // 2)
     out = []

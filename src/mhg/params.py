@@ -103,6 +103,13 @@ class ParameterSequence(_ParameterFields):
         return f"({self.delta}, {self.k1}, {self.k2}, {self.c0}, {self.c1})"
 
 
+def admissible(p: ParameterSequence) -> ParameterSequence:
+    """p itself, or ValueError when it is acceptable but not admissible."""
+    if not p.is_admissible:
+        raise ValueError(f"parameters {p} are not admissible")
+    return p
+
+
 def enumerate_admissible(delta: int) -> list[ParameterSequence]:
     """All admissible tuples with the given delta, in lexicographic order."""
     out = []

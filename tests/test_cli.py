@@ -223,9 +223,8 @@ def test_graph_check_missing_file(capsys):
 
 
 def test_graph_check_non_admissible_params(capsys, triangle):
-    code, _, err = run(capsys, ["graph", "check", triangle, "--params", "3", "1", "1", "8", "9"])
-    assert code == 2
-    assert "not admissible" in err
+    code, out, err = run(capsys, ["graph", "check", triangle, "--params", "3", "1", "1", "8", "9"])
+    assert (code, out, err) == (2, "", "error: parameters (3, 1, 1, 8, 9) are not admissible\n")
 
 
 def test_complete_pentagon(capsys, pentagon):
@@ -316,6 +315,13 @@ def test_family_classify_bad_cycle(capsys):
     assert code == 2
     assert out == ""
     assert "at least 3 labels" in err
+
+
+def test_family_classify_non_positive_label(capsys):
+    """A label below 1 is refused, in text and --json alike, not classified."""
+    for json_flag in ([], ["--json"]):
+        code, out, err = run(capsys, ["family", "classify", "--params", *IIB, "--cycle", "0,0,0", *json_flag])
+        assert (code, out, err) == (2, "", "error: cycle labels must be positive\n"), json_flag
 
 
 def test_family_classify_label_above_delta(capsys):

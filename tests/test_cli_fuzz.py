@@ -1,4 +1,4 @@
-"""Property test of the exit-code contract on JSON-shaped graph files.
+"""Property tests of the exit-code contract on graph files and cycles.
 
 `graph check`, `complete` and `family witness` read a graph from a file.
 Whatever JSON the file holds (nested lists, floats, huge integers,
@@ -6,6 +6,11 @@ booleans, missing keys), a call must exit 0, 1 or 2 and never 3, the code
 for an internal error, and must return within CALL_SECONDS.  JSON booleans
 are still read as the integers 0 and 1, so the test asserts the exit code
 only, not which inputs are refused.
+
+`family classify` reads a cycle from --cycle.  Whatever 0 to 7 integers
+it holds, from -2 to delta + 2, a call must exit 0 or 2, and the text and
+--json calls must exit alike, print the same stderr and, on exit 0, give
+the same verdict.
 """
 
 import io
@@ -78,19 +83,20 @@ def _alarm(signum, frame):
 
 
 def _exit_code(argv):
-    """main(argv) with its output captured: the exit code, or "timeout"."""
+    """main(argv) with its output captured: the exit code, or "timeout",
+    then stdout and stderr."""
     previous = signal.signal(signal.SIGALRM, _alarm)
     signal.setitimer(signal.ITIMER_REAL, CALL_SECONDS)
-    err = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     try:
-        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
     except CallTimedOut:
         code = "timeout"
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("command", list(COMMANDS))
@@ -105,5 +111,19 @@ def _exit_code(argv):
 def test_graph_commands_keep_exit_code_contract(tmp_path, command, doc):
     path = tmp_path / "graph.json"
     path.write_text(json.dumps(doc))
-    code, err = _exit_code([*COMMANDS[command], str(path), "--params", *IIB])
+    code, _, err = _exit_code([*COMMANDS[command], str(path), "--params", *IIB])
     assert code in (0, 1, 2), (doc, code, err)
+
+
+@seed(20181001)
+@settings(max_examples=EXAMPLES, deadline=None, database=None)
+@given(labels=st.lists(st.integers(-2, int(IIB[0]) + 2), max_size=7))
+def test_family_classify_text_and_json_agree(labels):
+    argv = ["family", "classify", "--params", *IIB, "--cycle=" + ",".join(map(str, labels))]
+    code, out, err = _exit_code(argv)
+    json_code, json_out, json_err = _exit_code([*argv, "--json"])
+    assert code in (0, 2), (labels, code, err)
+    assert (json_code, json_err) == (code, err), labels
+    if code == 0:
+        forbidden = json.loads(json_out)["forbidden"]
+        assert out.startswith(f"cycle {','.join(map(str, labels))}  forbidden: {'yes' if forbidden else 'no'}\n")

@@ -1,15 +1,18 @@
 import json
 import random
+import re
 from itertools import product
 
 import pytest
 from conftest import MATRIX_TUPLES, WIDE_TUPLES, many_label_graph, random_graph, run_python
 
-from mhg.completion import bitset_complete, magic_complete
+from mhg.completion import bitset_complete, first_stage_value, has_tension, inverse_steps, magic_complete, steps
+from mhg.families import classify_cycle, is_forbidden
 from mhg.graphs import (
     EdgeLabelledGraph,
     TriangleViolation,
     canonical_cycle,
+    check_cycle,
     closed_walks_with_vertices,
     allowed_intervals,
     first_violating_bitset,
@@ -97,6 +100,34 @@ def test_from_json_checks_types_before_values():
         EdgeLabelledGraph.from_json_obj({"n": 3, "edges": [[0, 5, 1], [0, "1", 2]]})
 
 
+CTX = default_context(P)
+CYCLE_ROUTES = {
+    "is_forbidden": lambda c: is_forbidden(P, c),
+    "classify_cycle": lambda c: classify_cycle(P, c),
+    "steps": lambda c: steps(CTX, c),
+    "inverse_steps": lambda c: inverse_steps(CTX, c, 8),
+    "has_tension": lambda c: has_tension(CTX, c),
+    "first_stage_value": lambda c: first_stage_value(CTX, c),
+    "check_cycle": lambda c: check_cycle(c, P.delta),
+}
+NOT_CYCLES = [
+    ((1, 2), "a cycle has at least 3 labels"),
+    ((0, 1, 1), "cycle labels must be positive"),
+    ((-1, 2, 3), "cycle labels must be positive"),
+    ((6, 1, 1), "cycle labels exceed delta=5"),
+]
+
+
+@pytest.mark.parametrize("route", list(CYCLE_ROUTES))
+def test_cycle_routes_refuse_the_same_inputs(route):
+    """Every cycle route refuses a non-cycle under delta = 5 with the one
+    message of graphs.check_cycle, and reads a list as its tuple."""
+    for cycle, message in NOT_CYCLES:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CYCLE_ROUTES[route](cycle)
+    CYCLE_ROUTES[route]([5, 5, 5])
+
+
 def test_canonical_cycle():
     assert canonical_cycle((3, 1, 2)) == (1, 2, 3)
     assert canonical_cycle((2, 1, 3)) == (1, 2, 3)  # reflection reaches (1,2,3) too
@@ -105,10 +136,12 @@ def test_canonical_cycle():
     assert canonical_cycle((5, 5, 5, 5, 5)) == (5, 5, 5, 5, 5)
     # reflection matters: (1,2,1,3) rotations never start 1,3
     assert canonical_cycle((2, 1, 3, 1)) == (1, 2, 1, 3)
-    with pytest.raises(ValueError):
-        canonical_cycle((1, 2))
-    with pytest.raises(ValueError):
-        canonical_cycle((1, 0, 2))
+    # No delta, so check_cycle's rule without its upper bound.
+    assert check_cycle(iter((9, 1, 1)), None) == (9, 1, 1)
+    assert canonical_cycle((9, 1, 1)) == (1, 1, 9)
+    for cycle, message in NOT_CYCLES[:3]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            canonical_cycle(cycle)
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from conftest import run_python
 from mhg import engine, oracle
 from mhg.cli import main
 from mhg.completion import magic_complete
-from mhg.engine import Engine, _close, plane_rows, unpack
+from mhg.engine import Engine, _close, unpack
 from mhg.families import enumerate_forbidden, find_witness, is_forbidden, walk_bound
 from mhg.graphs import EdgeLabelledGraph, canonical_cycle, is_member, triangle_ok
 from mhg.magic import default_context
@@ -60,6 +60,11 @@ def test_has_completion_rejects_large_labels():
 def lattice_index(eng: Engine, rows: np.ndarray) -> np.ndarray:
     """Inverse of Engine.decode: the last pair is the fastest-varying digit."""
     return np.ravel_multi_index(rows.T, (eng.base,) * eng.P)
+
+
+def plane_rows(planes: np.ndarray, count: int) -> np.ndarray:
+    """Label rows (count, P) of one-hot planes: the inverse of Engine.planes."""
+    return unpack(planes, count).argmax(axis=1).astype(np.uint8).T
 
 
 def magic_batch(eng: Engine, rows: np.ndarray):

@@ -1,8 +1,11 @@
 import pytest
 
+from mhg.families import active_tags, walk_bound
+from mhg.magic import default_context, magic_distances
 from mhg.params import (
     AdmissibilityCase,
     ParameterSequence,
+    admissible,
     classify,
     enumerate_admissible,
     is_acceptable,
@@ -129,3 +132,16 @@ def test_case_invariants():
                     assert c >= 2 * d + k1 + 2
                 if cp > c + 1:
                     assert c >= 2 * d + k2
+
+
+def test_admissible_is_the_one_refusal():
+    """params.admissible passes an admissible tuple through and refuses the
+    others with one message, which every route that needs admissibility
+    raises (the command line's is in test_cli.py)."""
+    p = ParameterSequence(5, 3, 3, 16, 13)
+    assert admissible(p) is p
+    bad = ParameterSequence(3, 1, 1, 8, 9)
+    message = r"^parameters \(3, 1, 1, 8, 9\) are not admissible$"
+    for route in (admissible, active_tags, walk_bound, magic_distances, default_context):
+        with pytest.raises(ValueError, match=message):
+            route(bad)
