@@ -195,7 +195,8 @@ def cmd_family_classify(args) -> int:
     if args.json:
         obj = {
             "cycle": list(cycle),
-            "canonical": list(canonical_cycle(cycle)),
+            # each witness carries the canonical form classify_cycle built
+            "canonical": list(witnesses[0].cycle if witnesses else canonical_cycle(cycle)),
             "forbidden": forbidden,
             "witnesses": [w.to_json_obj() for w in witnesses],
         }
@@ -368,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     fsub = family.add_subparsers(dest="subcommand", required=True)
     fc = fsub.add_parser("classify", help="tags and decompositions of one cycle")
     _add_params(fc)
-    fc.add_argument("--cycle", required=True, help="comma-separated labels")
+    fc.add_argument("--cycle", required=True, help="comma-separated labels; --cycle=-1,2,3 passes a leading minus")
     _add_json(fc)
     fc.set_defaults(func=cmd_family_classify)
     fe = fsub.add_parser("enumerate", help="list the whole obstruction set")

@@ -2,11 +2,12 @@
 
 A cell (i, j) stands for every cycle with i edges of length delta and j
 edges of length 1, that is the label multiset {delta^i, 1^j}.  Cells are
-read off the family inequalities in `families`: the tag of a cell is the
-active family that forbids its multiset.  The families partition the
-cells by i: i = 0 is the K1 bound, i = 1 non-metric, even i >= 2 the K2
-bound and odd i >= 3 the C bound (split into C0/C1 when C' > C + 1, plus
-the single special pentagon cell at (5, 0) for delta = 5 in case IIB).
+read off the family inequalities in `families` by one sweep,
+`render_table`, whose docstring states the tag rule; `classify_1d` reads
+a cell off its cached table.  The families partition the cells by i:
+i = 0 is the K1 bound, i = 1 non-metric, even i >= 2 the K2 bound and odd
+i >= 3 the C bound (split into C0/C1 when C' > C + 1, plus the single
+special pentagon cell at (5, 0) for delta = 5 in case IIB).
 
 Two parameter tuples form a twisted pair when the cell positions of one
 table are exactly the transpose of the other's.
@@ -34,29 +35,10 @@ STAIRCASE = "·"
 
 
 def classify_1d(p: ParameterSequence, i: int, j: int) -> FamilyTag | None:
-    """Tag of cell (i, j), or None when such cycles are not forbidden.
-
-    The tag is the first active family, in FamilyTag declaration order,
-    whose inequality holds on {delta^i, 1^j}; on these multisets at most one
-    active family holds, so the order only fixes the rule.  Pairs with
-    i + j < 3 are not cycles and give None.
-    """
-    return _cell_tag(p, _ordered_tags(p), i, j)
-
-
-def _ordered_tags(p: ParameterSequence) -> tuple[FamilyTag, ...]:
-    """The active families of p in FamilyTag declaration order."""
-    tags = active_tags(p)
-    return tuple(t for t in FamilyTag if t in tags)
-
-
-def _cell_tag(
-    p: ParameterSequence, tags: tuple[FamilyTag, ...], i: int, j: int
-) -> FamilyTag | None:
-    if i < 0 or j < 0 or i + j < 3:
-        return None
-    held = _holding_tags(p, (p.delta,) * i + (1,) * j)
-    return next((t for t in tags if t in held), None)
+    """Tag of cell (i, j), or None when such cycles are not forbidden, read
+    off render_table(p).  Exact, as no forbidden cycle is longer than the
+    table's sweep; pairs with i + j < 3 are not cycles and give None."""
+    return render_table(p).cell_map.get((i, j))
 
 
 class OneDeltaCell(NamedTuple):
@@ -122,16 +104,19 @@ class OneDeltaTable(NamedTuple):
 
 @cache
 def render_table(p: ParameterSequence) -> OneDeltaTable:
-    """Sweep the cells with i + j <= walk_bound(p): a cell is a multiset of
-    i + j labels, and no obstruction cycle is longer.  Cached: both the
-    tuple and the table are frozen."""
-    bound, tags = walk_bound(p), _ordered_tags(p)
-    cells = (
-        OneDeltaCell(i, j, tag)
-        for i in range(bound + 1)
-        for j in range(bound + 1 - i)
-        if (tag := _cell_tag(p, tags, i, j)) is not None
-    )
+    """Sweep the cells with 3 <= i + j <= walk_bound(p): a cell is a
+    multiset of i + j labels, and no obstruction cycle is longer.  A cell's
+    tag is the first active family, in FamilyTag declaration order, whose
+    inequality holds on {delta^i, 1^j}; on these multisets at most one
+    active family holds, so the order only fixes the rule.  Cached: both
+    the tuple and the table are frozen."""
+    bound, tags = walk_bound(p), sorted(active_tags(p), key=list(FamilyTag).index)
+    cells = []
+    for i in range(bound + 1):
+        for j in range(max(0, 3 - i), bound + 1 - i):
+            held = _holding_tags(p, (p.delta,) * i + (1,) * j)
+            if (tag := next((t for t in tags if t in held), None)) is not None:
+                cells.append(OneDeltaCell(i, j, tag))
     return OneDeltaTable(p, tuple(cells))
 
 

@@ -318,10 +318,50 @@ def test_family_classify_bad_cycle(capsys):
 
 
 def test_family_classify_non_positive_label(capsys):
-    """A label below 1 is refused, in text and --json alike, not classified."""
+    """A label below 1 is refused, in text and --json alike, not classified.
+    A leading minus needs the --cycle=... form (test_family_classify_leading_minus)."""
+    for cycle in (["--cycle", "0,0,0"], ["--cycle=-1,2,3"]):
+        for json_flag in ([], ["--json"]):
+            code, out, err = run(capsys, ["family", "classify", "--params", *IIB, *cycle, *json_flag])
+            assert (code, out, err) == (2, "", "error: cycle labels must be positive\n"), (cycle, json_flag)
+
+
+@pytest.mark.parametrize(
+    "params, cycle",
+    [
+        (IIB, "5,5,5,5,5"),
+        (["1500", "1500", "1500", "4502", "4501"], ",".join(["1"] * 1999)),
+        (IIB, "3,3,3"),
+    ],
+    ids=["pentagon", "long-k1", "no-family"],
+)
+def test_family_classify_builds_the_canonical_form_once(capsys, monkeypatch, params, cycle):
+    """--json reads the canonical form off the witnesses where a family
+    holds, and builds it itself only where none does."""
+    from mhg import families
+    from mhg.graphs import canonical_cycle
+
+    seen = []
+
+    def counted(labels):
+        seen.append(len(labels))
+        return canonical_cycle(labels)
+
+    monkeypatch.setattr(cli, "canonical_cycle", counted)
+    monkeypatch.setattr(families, "canonical_cycle", counted)
+    code, out, _ = run(capsys, ["family", "classify", "--params", *params, "--cycle", cycle, "--json"])
+    assert code == 0
+    assert json.loads(out)["canonical"] == list(canonical_cycle(tuple(map(int, cycle.split(",")))))
+    assert len(seen) == 1
+
+
+def test_family_classify_leading_minus(capsys):
+    """argparse reads a value that starts with '-' as an option, so
+    --cycle -1,2,3 is a missing value and never reaches the cycle check."""
     for json_flag in ([], ["--json"]):
-        code, out, err = run(capsys, ["family", "classify", "--params", *IIB, "--cycle", "0,0,0", *json_flag])
-        assert (code, out, err) == (2, "", "error: cycle labels must be positive\n"), json_flag
+        code, out, err = run(capsys, ["family", "classify", "--params", *IIB, "--cycle", "-1,2,3", *json_flag])
+        assert (code, out) == (2, ""), json_flag
+        assert "argument --cycle: expected one argument" in err
 
 
 def test_family_classify_label_above_delta(capsys):

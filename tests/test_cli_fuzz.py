@@ -10,7 +10,8 @@ only, not which inputs are refused.
 `family classify` reads a cycle from --cycle.  Whatever 0 to 7 integers
 it holds, from -2 to delta + 2, a call must exit 0 or 2, and the text and
 --json calls must exit alike, print the same stderr and, on exit 0, give
-the same verdict.
+the same verdict, the library's `is_forbidden` verdict and its
+`canonical_cycle` form.
 """
 
 import io
@@ -22,6 +23,9 @@ from itertools import combinations
 import pytest
 
 from mhg.cli import main
+from mhg.families import is_forbidden
+from mhg.graphs import canonical_cycle
+from mhg.params import ParameterSequence
 
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, seed, settings  # noqa: E402
@@ -125,5 +129,8 @@ def test_family_classify_text_and_json_agree(labels):
     assert code in (0, 2), (labels, code, err)
     assert (json_code, json_err) == (code, err), labels
     if code == 0:
-        forbidden = json.loads(json_out)["forbidden"]
+        obj = json.loads(json_out)
+        forbidden = obj["forbidden"]
         assert out.startswith(f"cycle {','.join(map(str, labels))}  forbidden: {'yes' if forbidden else 'no'}\n")
+        assert obj["canonical"] == list(canonical_cycle(labels)), labels
+        assert forbidden == is_forbidden(ParameterSequence(*map(int, IIB)), labels), labels

@@ -81,8 +81,9 @@ def test_cells_match_multiset_membership():
     """A cell fires exactly when the corresponding label multiset is in the
     obstruction set, its tag is one of the firing families, and no second
     active family fires, so the tag does not hang on the tie-break order.
-    render_table, which sweeps fewer cells, finds the same ones."""
-    for delta in range(3, 7):
+    classify_1d reads render_table's sweep, which stops at walk_bound(p),
+    so this grid, past that bound, checks that the sweep misses no cell."""
+    for delta in range(3, 8):
         for p in enumerate_admissible(delta):
             cap = 3 * delta + 3
             tags = active_tags(p)
