@@ -20,25 +20,41 @@ ints and refuse, with exit 2, a graph of more than graphs.MAX_BITSET_N (1,000)
 vertices.  `family witness` exits 2 past families.WITNESS_BUDGET (100,000,000)
 neighbour tests, `family classify` past MAX_CYCLE_LABELS (4,000) labels, and
 `params list`, whose output grows as delta^4, past MAX_LIST_DELTA (60).
-numpy is imported only by `verify`, traceback only on exit 3.  The value
-types are named tuples, so a cold start imports neither dataclasses nor inspect.
+Every command executes mhg.params and mhg.graphs; the other modules are bound
+lazily and execute on a command's first call into them: `params` and `graph
+check` execute none, `magic show` magic, `complete` completion and magic,
+`family` families, `table` and `twisted` onedelta and families, and `verify`
+oracle and its imports, numpy among them.  traceback loads only on exit 3, and
+the value types are named tuples, so no command imports dataclasses or inspect.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import signal
 import sys
 
-from .completion import bitset_complete
-from .families import classify_cycle, enumerate_forbidden, find_witness, is_forbidden
-from .graphs import EdgeLabelledGraph, canonical_cycle, first_violating_bitset
-from .magic import default_context, magic_distances
-from .onedelta import is_twisted_pair, render_table
-from .oracle import BudgetExceededError, verify_equivalence
+from .graphs import BudgetExceededError, EdgeLabelledGraph, canonical_cycle, first_violating_bitset
 from .params import ParameterSequence, admissible, classify, enumerate_admissible, is_acceptable
+
+
+def _lazy(name: str):
+    """mhg.<name>, bound in sys.modules and on the package now, its code run
+    on first attribute access.  Commands call through it, so a wrapper set on it applies."""
+    fullname = f"{__package__}.{name}"
+    if fullname not in sys.modules:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[fullname] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[fullname]
+
+
+completion, families, magic, onedelta, oracle = map(_lazy, ("completion", "families", "magic", "onedelta", "oracle"))
 
 PARAM_NAMES = ("DELTA", "K1", "K2", "C0", "C1")
 
@@ -113,8 +129,8 @@ def cmd_params_list(args) -> int:
 
 def cmd_magic_show(args) -> int:
     p = _admissible(args.params)
-    ctx = default_context(p, args.m)
-    candidates = magic_distances(p)
+    ctx = magic.default_context(p, args.m)
+    candidates = magic.magic_distances(p)
     times = [None if math.isinf(t) else int(t) for t in map(ctx.time, range(1, p.delta + 1))]
     table = ctx.oplus_table()
     if args.json:
@@ -174,9 +190,9 @@ def cmd_graph_check(args) -> int:
 
 def cmd_complete(args) -> int:
     p = _admissible(args.params)
-    ctx = default_context(p, args.m)
+    ctx = magic.default_context(p, args.m)
     g = _load_graph(args.file)
-    done, trace = bitset_complete(ctx, g)
+    done, trace = completion.bitset_complete(ctx, g)
     if args.trace or args.json:
         obj = {"graph": done.to_json_obj(), "m": ctx.m}
         if args.trace:
@@ -190,8 +206,8 @@ def cmd_complete(args) -> int:
 def cmd_family_classify(args) -> int:
     p = _admissible(args.params)
     cycle = _parse_cycle(args.cycle)
-    witnesses = classify_cycle(p, cycle)
-    forbidden = is_forbidden(p, cycle)
+    witnesses = families.classify_cycle(p, cycle)
+    forbidden = families.is_forbidden(p, cycle)
     if args.json:
         obj = {
             "cycle": list(cycle),
@@ -212,7 +228,7 @@ def cmd_family_classify(args) -> int:
 
 def cmd_family_enumerate(args) -> int:
     p = _admissible(args.params)
-    cycles = enumerate_forbidden(p)
+    cycles = families.enumerate_forbidden(p)
     if args.json:
         print(_dumps({"params": list(p.as_tuple()), "count": len(cycles), "cycles": [list(c) for c in cycles]}))
     else:
@@ -224,7 +240,7 @@ def cmd_family_enumerate(args) -> int:
 def cmd_family_witness(args) -> int:
     p = _admissible(args.params)
     g = _load_graph(args.file)
-    hit = find_witness(p, g)
+    hit = families.find_witness(p, g)
     if args.json:
         obj = {"witness": None}
         if hit is not None:
@@ -243,7 +259,7 @@ def cmd_family_witness(args) -> int:
 
 def cmd_verify(args) -> int:
     p = _admissible(args.params)
-    report = verify_equivalence(
+    report = oracle.verify_equivalence(
         p,
         args.n_max,
         sample=args.sample,
@@ -277,7 +293,7 @@ def cmd_verify(args) -> int:
 
 def cmd_table(args) -> int:
     p = _admissible(args.params)
-    tbl = render_table(p)
+    tbl = onedelta.render_table(p)
     if args.json:
         print(_dumps(tbl.to_json_obj()))
     else:
@@ -288,19 +304,12 @@ def cmd_table(args) -> int:
 def cmd_twisted(args) -> int:
     p1 = _admissible(args.params1)
     p2 = _admissible(args.params2)
-    t1 = render_table(p1)
-    t2 = render_table(p2)
-    verdict = is_twisted_pair(p1, p2)
+    t1 = onedelta.render_table(p1)
+    t2 = onedelta.render_table(p2)
+    verdict = onedelta.is_twisted_pair(p1, p2)
     if args.json:
-        print(
-            _dumps(
-                {
-                    "twisted": verdict,
-                    "cells1": t1.to_json_obj()["cells"],
-                    "cells2": t2.to_json_obj()["cells"],
-                }
-            )
-        )
+        cells1, cells2 = (t.to_json_obj()["cells"] for t in (t1, t2))
+        print(_dumps({"twisted": verdict, "cells1": cells1, "cells2": cells2}))
     else:
         print(f"twisted pair: {'yes' if verdict else 'no'}")
         for name, tbl in (("first", t1), ("second", t2)):
@@ -325,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    params = sub.add_parser("params", help="parameter admissibility")
-    psub = params.add_subparsers(dest="subcommand", required=True)
+    params_cmd = sub.add_parser("params", help="parameter admissibility")
+    psub = params_cmd.add_subparsers(dest="subcommand", required=True)
     check = psub.add_parser("check", help="classify a raw 5-tuple")
     # A tuple metavar on a positional breaks argparse help rendering on 3.10,
     # so positionals spell the order out in the help string instead.
@@ -339,8 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_json(plist)
     plist.set_defaults(func=cmd_params_list)
 
-    magic = sub.add_parser("magic", help="magic distances and the oplus table")
-    msub = magic.add_subparsers(dest="subcommand", required=True)
+    magic_cmd = sub.add_parser("magic", help="magic distances and the oplus table")
+    msub = magic_cmd.add_subparsers(dest="subcommand", required=True)
     show = msub.add_parser("show", help="candidates, permutation, oplus table")
     show.add_argument(
         "params", nargs=5, type=int, metavar="N", help="delta k1 k2 c0 c1"

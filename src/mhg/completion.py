@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .graphs import EdgeLabelledGraph, Pair, bits, canonical_cycle, check_cycle, check_labels, label_bitsets
-from .magic import MagicContext
+from .magic import MagicContext, oplus_rows
 
 Cycle = tuple[int, ...]
 
@@ -48,13 +48,14 @@ def magic_complete(
     disconnected parts) are still blank after the last stage; they receive
     the magic distance M and are reported in fallback_pairs.
     """
-    check_labels(g, ctx.delta)
+    check_labels(g, ctx.delta)  # so the (+) table needs no range test per fork
+    opl = oplus_rows(ctx)
     adj = g.adjacency()
     blanks = g.non_edges()
     stages = []
     for stage, d in enumerate(ctx.permutation, 1):
         filled = [(x, y) for x, y in blanks
-                  if any(ctx.oplus(adj[x][z], adj[y][z]) == d for z in adj[x].keys() & adj[y].keys())]
+                  if any(opl[adj[x][z]][adj[y][z]] == d for z in adj[x].keys() & adj[y].keys())]
         for x, y in filled:
             adj[x][y] = adj[y][x] = d
         blanks = [(x, y) for x, y in blanks if y not in adj[x]]

@@ -23,8 +23,8 @@ constant high pairs); a sampled chunk packs its decoded rows once.  F(p) is
 read first, so its size guard refuses a tuple before any table: its cycles,
 triangles included, form a trie of words, walked by (n, n) products of
 adjacency planes shared across prefixes and by the lattice's seeding.
-allowed3 is triangle_violations on the label cube, opl the context's
-oplus_table padded with a blank row and column.  No per-graph code lives
+allowed3 is triangle_violations on the label cube, opl magic.oplus_rows:
+the context's (+) table padded with a blank row and column.  No per-graph code lives
 here: `mhg complete` and `mhg graph check` run on Python-int bitsets in
 completion and graphs.
 
@@ -42,7 +42,7 @@ import numpy as np
 
 from .families import enumerate_forbidden
 from .graphs import EdgeLabelledGraph, triangle_violations
-from .magic import MagicContext
+from .magic import MagicContext, oplus_rows
 
 _SLAB = 1 << 20  # bytes of one transposed slab in _close
 
@@ -110,7 +110,7 @@ class Engine:
         bad = np.any([hit for _, hit in triangle_violations(self.p, a, b, c)], axis=0)
         self.allowed3 = ~bad | (a * b * c == 0)
         # opl[x, y] = x (+) y, and 0 where either label is 0 (a blank pair).
-        self.opl = np.pad(np.array(ctx.oplus_table()), (1, 0))
+        self.opl = np.array(oplus_rows(ctx))
         # The trie over the words: the labels that extend each proper prefix.
         self.next_labels: dict[tuple[int, ...], set[int]] = {}
         for w in self.words:

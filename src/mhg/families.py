@@ -20,7 +20,7 @@ from itertools import accumulate, combinations_with_replacement
 from math import comb, prod
 from typing import Iterator, NamedTuple
 
-from .graphs import EdgeLabelledGraph, canonical_cycle, check_cycle, check_labels
+from .graphs import BudgetExceededError, EdgeLabelledGraph, canonical_cycle, check_cycle, check_labels
 from .params import AdmissibilityCase, ParameterSequence, admissible
 
 Cycle = tuple[int, ...]
@@ -250,10 +250,6 @@ def enumerate_forbidden(p: ParameterSequence) -> list[Cycle]:
     for ms in _forbidden_multisets(p):
         out |= _arrangements(ms)
     return sorted(out, key=lambda c: (len(c), c))
-
-
-class BudgetExceededError(RuntimeError):
-    """Search or lattice size exceeded the configured budget."""
 
 
 # Neighbour tests find_witness makes, at most.  On a 2-core Xeon under

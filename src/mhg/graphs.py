@@ -24,6 +24,10 @@ Pair = tuple[int, int]
 MAX_BITSET_N = 1000
 
 
+class BudgetExceededError(RuntimeError):
+    """Search or lattice size exceeded the configured budget."""
+
+
 def _norm_pair(u: int, v: int) -> Pair:
     return (u, v) if u < v else (v, u)
 

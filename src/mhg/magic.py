@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+from functools import cache
 from typing import NamedTuple
 
 from .params import AdmissibilityCase, ParameterSequence, admissible
@@ -120,8 +121,15 @@ class MagicContext(_MagicFields):
 
     def oplus_table(self) -> list[list[int]]:
         """Full operation table, row/column indices 1..delta."""
-        d = self.delta
-        return [[self.oplus(x, y) for y in range(1, d + 1)] for x in range(1, d + 1)]
+        return [list(row[1:]) for row in oplus_rows(self)[1:]]
+
+
+@cache
+def oplus_rows(ctx: MagicContext) -> tuple[tuple[int, ...], ...]:
+    """The (+) table, built once per context: rows[x][y] = x (+) y for labels
+    1..delta, and 0 where x or y is 0 (a blank pair).  Reads skip oplus's range test."""
+    labels = range(ctx.delta + 1)
+    return tuple(tuple(ctx.oplus(x, y) if x and y else 0 for y in labels) for x in labels)
 
 
 def default_context(p: ParameterSequence, m: int | None = None) -> MagicContext:

@@ -21,8 +21,8 @@ from itertools import compress
 from typing import NamedTuple
 
 from .completion import magic_complete
-from .families import BudgetExceededError, find_witness
-from .graphs import EdgeLabelledGraph, first_violating_triangle, is_member, triangle_ok
+from .families import find_witness
+from .graphs import BudgetExceededError, EdgeLabelledGraph, first_violating_triangle, is_member, triangle_ok
 from .magic import default_context
 from .params import ParameterSequence
 

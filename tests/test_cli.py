@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -694,22 +695,100 @@ def test_cli_cold_start_modules(pentagon):
     """Only `verify` loads numpy; `graph check` and `complete` run on Python
     ints.  The value types are named tuples, so no command loads dataclasses
     or inspect, and traceback loads only for an internal error.  mhg.oracle
-    is imported with mhg.cli, not lazily: tracers look it up in sys.modules
-    once mhg.cli is imported."""
+    is bound in sys.modules as soon as mhg.cli is imported, where tracers
+    look it up, but `params check` and `graph check` never run its code."""
     code = (
-        "import sys\n"
+        "import sys, types\n"
         "def unloaded(step):\n"
         "    for name in ('numpy', 'dataclasses', 'inspect', 'traceback'):\n"
         "        assert name not in sys.modules, (name, step)\n"
         "import mhg.cli\n"
         "unloaded('import mhg.cli')\n"
-        "assert 'mhg.oracle' in sys.modules\n"
+        "assert 'mhg.oracle' in sys.modules  # bound, not yet executed\n"
         "assert mhg.cli.main(['params', 'check', '5', '3', '3', '16', '13']) == 0\n"
         "unloaded('params check')\n"
+        "assert type(sys.modules['mhg.oracle']) is not types.ModuleType\n"
         f"assert mhg.cli.main(['graph', 'check', {pentagon!r}, '--params', *{IIB!r}]) == 0\n"
         "unloaded('graph check')\n"
+        "assert type(sys.modules['mhg.oracle']) is not types.ModuleType\n"
         f"assert mhg.cli.main(['complete', {pentagon!r}, '--params', *{IIB!r}, '--json', '--trace']) == 0\n"
         "unloaded('complete')\n"
     )
     proc = run_python(["-c", code], timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+# Prints a command's exit code and the mhg modules whose code has run: a
+# module bound lazily stays a subclass of ModuleType until its first use.
+EXECUTED = (
+    "import contextlib, io, sys, types\n"
+    "import mhg.cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = mhg.cli.main(sys.argv[1:])\n"
+    "print(code, *sorted(n for n, m in sys.modules.items()\n"
+    "                    if n.split('.')[0] == 'mhg' and type(m) is types.ModuleType))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code, added",
+    [
+        (["params", "check", *IIB], 0, []),
+        (["graph", "check", "PENTAGON", "--params", *IIB], 0, []),
+        (["graph", "check", "ABOVE_DELTA", "--params", *IIB], 2, []),
+        (["family", "witness", "PENTAGON", "--params", *IIB], 1, ["mhg.families"]),
+        (["complete", "PENTAGON", "--params", *IIB], 0, ["mhg.completion", "mhg.magic"]),
+        (
+            ["verify", "--params", *III3, "--n-max", "3"],
+            0,
+            ["mhg.completion", "mhg.engine", "mhg.families", "mhg.magic", "mhg.oracle"],
+        ),
+    ],
+    ids=["params-check", "graph-check", "graph-check-above-delta", "family-witness", "complete", "verify"],
+)
+def test_command_executes_only_the_modules_it_uses(tmp_path, pentagon, argv, code, added):
+    """Every command executes mhg, mhg.cli, mhg.params and mhg.graphs, and
+    of the other modules only those it calls; an error exit adds none."""
+    above = tmp_path / "above.json"
+    above.write_text(json.dumps({"n": 3, "edges": [[0, 1, 3], [0, 2, 3], [1, 2, 6]]}))
+    files = {"PENTAGON": pentagon, "ABOVE_DELTA": str(above)}
+    proc = run_python(["-c", EXECUTED, *(files.get(a, a) for a in argv)], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    want = sorted(["mhg", "mhg.cli", "mhg.graphs", "mhg.params", *added])
+    assert proc.stdout.split() == [str(code), *want]
+
+
+def test_tracer_finds_the_modules_it_wraps():
+    """perfbench/tracing.py looks up the modules of its FUNCTIONS in
+    sys.modules right after `import mhg.cli`; each is there, and a lazily
+    bound module is an attribute of the package once imported by name."""
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {perfbench!r})\n"
+        "import tracing\n"
+        "import mhg.cli\n"
+        "missing = {name for name, _, _ in tracing.FUNCTIONS} - set(sys.modules)\n"
+        "assert not missing, missing\n"
+        "import mhg.oracle\n"
+        "assert mhg.oracle is sys.modules['mhg.oracle']\n"
+        "assert callable(mhg.oracle.verify_equivalence)\n"
+    )
+    proc = run_python(["-c", code], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_commands_call_through_the_module(capsys, monkeypatch, pentagon):
+    """A wrapper set on sys.modules['mhg.families'], as a tracer sets one,
+    sees the command's call: cli reads find_witness off the module."""
+    families = sys.modules["mhg.families"]
+    real, calls = families.find_witness, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(families, "find_witness", counted)
+    code, out, _ = run(capsys, ["family", "witness", pentagon, "--params", *IIB])
+    assert code == 1 and out.startswith("walk ")
+    assert len(calls) == 1

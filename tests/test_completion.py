@@ -175,6 +175,24 @@ def test_complete_graph_matches_magic_complete_wide_delta(p):
         assert bitset_complete(ctx, g) == magic_complete(ctx, g), g
 
 
+def test_magic_complete_reads_oplus_from_a_table(monkeypatch):
+    """magic_complete looks each fork up in a (+) table built once per
+    context, not through MagicContext.oplus, which range-checks each call;
+    check_labels has already bounded the labels."""
+    rng = random.Random("oplus table")
+    graphs = [cycle_graph((5, 5, 5, 5, 5))] + [random_graph(rng, 8, 0.5, range(1, 6)) for _ in range(20)]
+    want = [magic_complete(CTX, g) for g in graphs]  # builds the table, if not yet built
+    real, calls = MagicContext.oplus, []
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return real(self, x, y)
+
+    monkeypatch.setattr(MagicContext, "oplus", counted)
+    assert [magic_complete(CTX, g) for g in graphs] == want
+    assert calls == []
+
+
 def test_complete_graph_rejects_what_the_reference_rejects():
     big = EdgeLabelledGraph(3, [(0, 1, 6)])
     with pytest.raises(ValueError) as ref:
